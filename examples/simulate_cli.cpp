@@ -202,7 +202,7 @@ bool pulse_shaped_policy(const std::string& name) {
 /// fleet is reproducible from the same one number as the single run; the
 /// homogeneous specs share one blueprint, so --batch-width W groups them
 /// into W-lane lockstep BatchEngine passes (bitwise invisible by contract).
-int run_fleet(const Options& options, const ScenarioSpec& spec) {
+void run_fleet(const Options& options, const ScenarioSpec& spec) {
   FleetOptions run;
   run.threads = options.threads;
   run.batch_width = options.batch_width;
@@ -224,7 +224,39 @@ int run_fleet(const Options& options, const ScenarioSpec& spec) {
   std::printf("  MI           : mean %7.4f | p50 %7.4f | p95 %7.4f\n",
               r.normalized_mi.mean, r.normalized_mi.p50, r.normalized_mi.p95);
   std::printf("  violations   : %zu\n", r.battery_violations);
-  return 0;
+}
+
+/// --obs: writes the rlblh-run-v1 manifest (to --obs-out, or the default
+/// RUN_*.json path) and dumps the registry. Returns false when the file
+/// cannot be written.
+bool write_run_manifest(const Options& options, const ScenarioSpec& spec,
+                        int argc, char** argv) {
+  obs::RunInfo info;
+  info.name = "simulate_cli";
+  info.command.assign(argv, argv + argc);
+  info.config = {
+      {"policy", spec.policy},
+      {"household", spec.household},
+      {"plan", spec.pricing},
+      {"battery_kwh", std::to_string(spec.battery_kwh)},
+      {"nd", std::to_string(spec.nd)},
+      {"seed", std::to_string(spec.seed)},
+      {"train_days", std::to_string(spec.train_days)},
+      {"eval_days", std::to_string(spec.eval_days)},
+      {"scenario", spec.canonical()},
+  };
+  if (options.fleet > 0) {
+    info.config.emplace_back("fleet", std::to_string(options.fleet));
+    info.config.emplace_back("batch_width",
+                             std::to_string(options.batch_width));
+  }
+  const std::string path = options.obs_out.empty()
+                               ? obs::default_manifest_path(info.name)
+                               : options.obs_out;
+  if (!obs::write_manifest_file(path, info)) return false;
+  std::printf("wrote run manifest to %s\n", path.c_str());
+  obs::dump_all(std::cout);
+  return true;
 }
 
 }  // namespace
@@ -257,7 +289,11 @@ int main(int argc, char** argv) {
                              "--load/save-weights and --check-invariants\n");
         return 2;
       }
-      return run_fleet(options, spec);
+      run_fleet(options, spec);
+      if (options.obs && !write_run_manifest(options, spec, argc, argv)) {
+        return 1;
+      }
+      return 0;
     }
     Scenario scenario = build_scenario(spec);
     Simulator& sim = scenario.simulator;
@@ -345,27 +381,8 @@ int main(int argc, char** argv) {
       std::printf("saved weights to %s\n", options.save_weights.c_str());
     }
 
-    if (options.obs) {
-      obs::RunInfo info;
-      info.name = "simulate_cli";
-      info.command.assign(argv, argv + argc);
-      info.config = {
-          {"policy", spec.policy},
-          {"household", spec.household},
-          {"plan", spec.pricing},
-          {"battery_kwh", std::to_string(spec.battery_kwh)},
-          {"nd", std::to_string(spec.nd)},
-          {"seed", std::to_string(spec.seed)},
-          {"train_days", std::to_string(spec.train_days)},
-          {"eval_days", std::to_string(spec.eval_days)},
-          {"scenario", spec.canonical()},
-      };
-      const std::string path = options.obs_out.empty()
-                                   ? obs::default_manifest_path(info.name)
-                                   : options.obs_out;
-      if (!obs::write_manifest_file(path, info)) return 1;
-      std::printf("wrote run manifest to %s\n", path.c_str());
-      obs::dump_all(std::cout);
+    if (options.obs && !write_run_manifest(options, spec, argc, argv)) {
+      return 1;
     }
   } catch (const std::exception& error) {
     std::fprintf(stderr, "error: %s\n", error.what());

@@ -26,13 +26,11 @@ current run must provide a matching BENCH_<name>.json whose
     process on one machine, so no machine rescaling applies — this is the
     sharp "is batching worth it" gate; the baseline-relative gate above is
     the coarse cross-machine one, and
-  * for the serving bench's in-run capacity pairs, the event-loop daemon
-    must sustain --serve-conn-ratio times the connections of the
-    thread-per-conn daemon with its ping p99 inside --serve-p99-bound-ms,
-    and the batch-stepped close rate must be --serve-batch-speedup times
-    the same run's stream-close rate (see --no-serve). Like the in-run
-    batch anchor, both halves of each ratio come from one process on one
-    machine, so no rescaling applies.
+  * for the serving bench, the daemon must sustain at least the committed
+    baseline's count of concurrently-open connections, with its ping p99
+    inside --serve-p99-bound-ms (see --no-serve). The sweep ramps to a
+    fixed target, so the count is a capacity measure, not a rate, and no
+    machine rescaling applies.
 
 Baselines recorded on a single-core machine carry
 "hardware_concurrency": 1; the parallel-efficiency gate skips (loudly)
@@ -230,78 +228,40 @@ def compare_batch(name: str, base: dict, cur: dict, min_speedup: float,
     return failures, info
 
 
-def compare_serve(name: str, cur: dict, min_conn_ratio: float,
-                  p99_bound_ms: float, min_batch_speedup: float):
-    """Gates the serving-path capacity claims, both from in-run pairs (the
-    two numbers of each ratio come from the same process on the same
-    machine, so no baseline rescaling applies). Capacity: the event-loop
-    daemon must sustain at least `min_conn_ratio` times the connections of
-    the thread-per-conn daemon, with the event-loop ping p99 inside
-    `p99_bound_ms` — "10x the connections at bounded p99". Batching: the
-    batch-stepped household-days/sec figure must be at least
-    `min_batch_speedup` times the same run's stream-close figure — except
-    on a single-core machine, where every serving design serializes and
-    the ratio is skipped loudly (the compare_scaling rationale). Records
-    without the serve metrics are skipped. Returns (failures, info_lines)."""
+def compare_serve(name: str, base: dict, cur: dict, p99_bound_ms: float):
+    """Gates the serving-path capacity claim: the current run's
+    serve_conns_sustained_eventloop must be at least the committed
+    baseline's, with its ping p99 (serve_conn_p99_ms_eventloop) inside
+    `p99_bound_ms` — "the committed connection count at bounded p99".
+    Records without the metric in the baseline are skipped. Returns
+    (failures, info_lines)."""
     failures, info = [], []
+    floor = float(base.get("metrics", {}).get(
+        "serve_conns_sustained_eventloop", 0.0))
+    if floor <= 0.0:
+        return failures, info
     metrics = cur.get("metrics", {})
-    el_conns = float(metrics.get("serve_conns_sustained_eventloop", 0.0))
-    tpc_conns = float(metrics.get("serve_conns_sustained_threadperconn", 0.0))
-    if el_conns > 0.0 and tpc_conns > 0.0:
-        ratio = el_conns / tpc_conns
-        el_p99 = float(metrics.get("serve_conn_p99_ms_eventloop", 0.0))
-        ratio_ok = ratio >= min_conn_ratio
-        p99_ok = el_p99 <= p99_bound_ms
-        status = "ok" if (ratio_ok and p99_ok) else "FAIL"
-        info.append(
-            f"{name}: event loop sustains {el_conns:.0f} conns = "
-            f"{ratio:.1f}x thread-per-conn ({tpc_conns:.0f}; floor "
-            f"{min_conn_ratio:.0f}x) at ping p99 {el_p99:.3f} ms (bound "
-            f"{p99_bound_ms:.0f} ms) {status}"
+    conns = float(metrics.get("serve_conns_sustained_eventloop", 0.0))
+    p99 = float(metrics.get("serve_conn_p99_ms_eventloop", 0.0))
+    conns_ok = conns >= floor
+    p99_ok = p99 <= p99_bound_ms
+    info.append(
+        f"{name}: daemon sustains {conns:.0f} conns (baseline floor "
+        f"{floor:.0f}) at ping p99 {p99:.3f} ms (bound {p99_bound_ms:.0f} "
+        f"ms) {'ok' if (conns_ok and p99_ok) else 'FAIL'}"
+    )
+    if not conns_ok:
+        failures.append(
+            f"{name}: serve capacity below floor: daemon sustained "
+            f"{conns:.0f} conns, the committed baseline sustained "
+            f"{floor:.0f}"
         )
-        if not ratio_ok:
-            failures.append(
-                f"{name}: serve capacity below floor: event loop sustained "
-                f"{el_conns:.0f} conns, only {ratio:.1f}x the "
-                f"thread-per-conn daemon ({tpc_conns:.0f}), need >= "
-                f"{min_conn_ratio:.0f}x"
-            )
-        if not p99_ok:
-            failures.append(
-                f"{name}: serve capacity p99 over bound: event-loop ping "
-                f"p99 {el_p99:.3f} ms exceeds {p99_bound_ms:.0f} ms — the "
-                f"sustained-connection count does not hold at bounded "
-                f"latency"
-            )
-    batch = float(metrics.get("serve_households_per_core_batch", 0.0))
-    stream = float(metrics.get("serve_households_per_core_stream", 0.0))
-    if batch > 0.0 and stream > 0.0:
-        speedup = batch / stream
-        cur_hw = cur.get("hardware_concurrency")
-        if cur_hw is not None and int(cur_hw) <= 1:
-            # On one core the reactor, the shard, and the client serialize,
-            # so the daemon's lane-batching payoff cannot be expressed —
-            # the same reasoning as the single-core skip in
-            # compare_scaling. Report the measured ratio but do not gate.
-            info.append(
-                f"{name}: SKIPPED batch-close gate — this run is on a "
-                f"single-core machine (hardware_concurrency={cur_hw}); "
-                f"measured {speedup:.2f}x"
-            )
-            return failures, info
-        ok = speedup >= min_batch_speedup
-        info.append(
-            f"{name}: batch-stepped closes {batch:.0f} household-days/s = "
-            f"{speedup:.2f}x the in-run stream figure ({stream:.0f}; floor "
-            f"{min_batch_speedup:.1f}x) {'ok' if ok else 'FAIL'}"
+    if not p99_ok:
+        failures.append(
+            f"{name}: serve capacity p99 over bound: ping p99 {p99:.3f} ms "
+            f"exceeds {p99_bound_ms:.0f} ms — the sustained-connection "
+            f"count does not hold at bounded latency"
         )
-        if not ok:
-            failures.append(
-                f"{name}: serve batch speedup below floor: "
-                f"{batch:.0f} household-days/s is only {speedup:.2f}x the "
-                f"same-run stream-close rate ({stream:.0f}), need >= "
-                f"{min_batch_speedup:.1f}x"
-            )
     return failures, info
 
 
@@ -410,25 +370,11 @@ def main() -> int:
         help="skip the lockstep-batch throughput comparison",
     )
     parser.add_argument(
-        "--serve-conn-ratio",
-        type=float,
-        default=10.0,
-        help="required serve_conns_sustained_eventloop multiple of the "
-        "same run's thread-per-conn figure (default 10)",
-    )
-    parser.add_argument(
         "--serve-p99-bound-ms",
         type=float,
         default=250.0,
-        help="event-loop ping p99 ceiling for the sustained-connection "
+        help="daemon ping p99 ceiling for the sustained-connection "
         "claim, in milliseconds (default 250)",
-    )
-    parser.add_argument(
-        "--serve-batch-speedup",
-        type=float,
-        default=1.5,
-        help="required serve_households_per_core_batch multiple of the "
-        "same run's stream-close figure (default 1.5)",
     )
     parser.add_argument(
         "--no-serve",
@@ -500,8 +446,7 @@ def main() -> int:
             batch_lines.extend(info)
         if not args.no_serve:
             serve_failures, info = compare_serve(
-                name, cur, args.serve_conn_ratio, args.serve_p99_bound_ms,
-                args.serve_batch_speedup
+                name, base, cur, args.serve_p99_bound_ms
             )
             failures.extend(serve_failures)
             serve_lines.extend(info)
@@ -561,7 +506,7 @@ def main() -> int:
         for line in batch_lines:
             print(f"  {line}")
     if serve_lines:
-        print("\nserving-path capacity (in-run pairs):")
+        print("\nserving-path capacity (vs committed baseline):")
         for line in serve_lines:
             print(f"  {line}")
 
@@ -596,11 +541,9 @@ def main() -> int:
                     summary.write(f"- {line}\n")
             if serve_lines:
                 summary.write(
-                    "\n**Serving-path capacity** (event loop gated at "
-                    f"{args.serve_conn_ratio:.0f}x thread-per-conn "
-                    f"connections under {args.serve_p99_bound_ms:.0f} ms "
-                    f"ping p99; batch closes at "
-                    f"{args.serve_batch_speedup:.1f}x the stream rate)\n\n"
+                    "\n**Serving-path capacity** (sustained connections "
+                    "gated at the committed baseline's count under "
+                    f"{args.serve_p99_bound_ms:.0f} ms ping p99)\n\n"
                 )
                 for line in serve_lines:
                     summary.write(f"- {line}\n")

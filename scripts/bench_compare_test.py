@@ -6,7 +6,7 @@ and a green checkmark, so its failure modes are pinned here: a bench
 without a committed baseline must fail (not silently skip), metric drift
 must respect the rtol and the timing/speedup/throughput exemptions, the
 wall budget must rescale with the measured machine-speed ratio, and the
-parallel-efficiency and batch-throughput gates must bite.
+parallel-efficiency, batch-throughput and serving-capacity gates must bite.
 
 Run directly (CI lint job): python3 scripts/bench_compare_test.py
 """
@@ -354,74 +354,50 @@ class BatchGateTest(GateHarness):
 
 
 class ServeGateTest(GateHarness):
-    def serve_record(self, el_conns=384.0, tpc_conns=32.0, el_p99=0.05,
-                     batch=900.0, stream=500.0, hardware=8):
+    def serve_record(self, conns=512.0, p99=0.05):
         rec = record(
             "serve",
             metrics={
-                "serve_conns_sustained_eventloop": el_conns,
-                "serve_conns_sustained_threadperconn": tpc_conns,
-                "serve_conn_p99_ms_eventloop": el_p99,
-                "serve_conn_p99_ms_threadperconn": 0.02,
-                "serve_households_per_core_batch": batch,
-                "serve_households_per_core_stream": stream,
+                "serve_conns_sustained_eventloop": conns,
+                "serve_conn_p99_ms_eventloop": p99,
             },
         )
-        rec["hardware_concurrency"] = hardware
+        rec["hardware_concurrency"] = 4
         return rec
 
-    def both(self, rec):
+    def test_healthy_serve_record_passes(self):
+        rec = self.serve_record()
         self.write(self.baseline_dir, rec)
         self.write(self.current_dir, rec)
-
-    def test_healthy_serve_record_passes(self):
-        self.both(self.serve_record())
         code, out = self.run_gate("--no-wall")
         self.assertEqual(code, 0, out)
-        self.assertIn("12.0x thread-per-conn", out)
+        self.assertIn("sustains 512 conns (baseline floor 512)", out)
 
-    def test_conn_ratio_below_floor_fails(self):
-        self.both(self.serve_record(el_conns=128.0))
+    def test_conns_below_baseline_fail(self):
+        self.write(self.baseline_dir, self.serve_record())
+        self.write(self.current_dir, self.serve_record(conns=480.0))
         code, out = self.run_gate("--no-wall")
         self.assertNotEqual(code, 0)
         self.assertIn("serve capacity below floor", out)
 
     def test_conn_p99_over_bound_fails(self):
-        # 12x the connections, but the latency claim behind the count no
-        # longer holds.
-        self.both(self.serve_record(el_p99=400.0))
+        # The committed count, but the latency claim behind it no longer
+        # holds.
+        self.write(self.baseline_dir, self.serve_record())
+        self.write(self.current_dir, self.serve_record(p99=400.0))
         code, out = self.run_gate("--no-wall")
         self.assertNotEqual(code, 0)
         self.assertIn("serve capacity p99 over bound", out)
 
-    def test_batch_speedup_below_floor_fails(self):
-        self.both(self.serve_record(batch=600.0, stream=500.0))
-        code, out = self.run_gate("--no-wall")
-        self.assertNotEqual(code, 0)
-        self.assertIn("serve batch speedup below floor", out)
-
-    def test_single_core_run_skips_batch_gate_but_not_conn_gate(self):
-        # One core serializes the reactor, the shard, and the client, so
-        # the lane-batching ratio is noise — but sustained connections are
-        # a capacity measure and must still gate.
-        self.both(self.serve_record(batch=500.0, stream=500.0, hardware=1))
-        code, out = self.run_gate("--no-wall")
-        self.assertEqual(code, 0, out)
-        self.assertIn("SKIPPED batch-close gate", out)
-        self.both(self.serve_record(el_conns=64.0, hardware=1))
-        code, out = self.run_gate("--no-wall")
-        self.assertNotEqual(code, 0)
-        self.assertIn("serve capacity below floor", out)
-
-    def test_custom_floors_apply(self):
-        rec = self.serve_record(el_conns=160.0, batch=600.0)
-        self.both(rec)
-        code, out = self.run_gate("--no-wall", "--serve-conn-ratio", "4",
-                                  "--serve-batch-speedup", "1.1")
+    def test_custom_p99_bound_applies(self):
+        self.write(self.baseline_dir, self.serve_record())
+        self.write(self.current_dir, self.serve_record(p99=400.0))
+        code, out = self.run_gate("--no-wall", "--serve-p99-bound-ms", "500")
         self.assertEqual(code, 0, out)
 
     def test_no_serve_skips_the_gate(self):
-        self.both(self.serve_record(el_conns=32.0, batch=100.0))
+        self.write(self.baseline_dir, self.serve_record())
+        self.write(self.current_dir, self.serve_record(p99=400.0))
         code, out = self.run_gate("--no-wall", "--no-serve")
         self.assertEqual(code, 0, out)
 

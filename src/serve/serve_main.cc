@@ -7,10 +7,12 @@
 // restart resumes bitwise-identically (DESIGN.md §15). SIGTERM/SIGINT
 // trigger a graceful drain: stop accepting, finish in-flight frames,
 // persist every household's newest completed day, exit 0.
+#include <cerrno>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
 
 #include <unistd.h>
@@ -35,11 +37,26 @@ extern "C" void on_signal(int) {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --checkpoint-dir DIR [--listen unix:PATH|tcp:PORT]"
-               " [--checkpoint-period DAYS]"
-               " [--threading event-loop|thread-per-conn] [--shards N]"
-               " [--batch-width N] [--max-connections N] [--obs]\n",
-               argv0);
+               " [--checkpoint-period DAYS] [--shards N]"
+               " [--max-connections N] [--obs]\n"
+               "  --shards N           session worker threads (0 = auto, "
+               "at most %zu)\n"
+               "  --max-connections N  admission cap (0 = 65536)\n",
+               argv0, rlblh::serve::kMaxShards);
   return 2;
+}
+
+/// Parses a whole token of decimal digits; nullopt for anything else (a
+/// sign, junk, an empty string, or a value past the size_t range).
+std::optional<std::size_t> parse_count(const char* text) {
+  if (*text == '\0') return std::nullopt;
+  for (const char* c = text; *c != '\0'; ++c) {
+    if (*c < '0' || *c > '9') return std::nullopt;
+  }
+  errno = 0;
+  const unsigned long long value = std::strtoull(text, nullptr, 10);
+  if (errno == ERANGE || value > SIZE_MAX) return std::nullopt;
+  return static_cast<std::size_t>(value);
 }
 
 }  // namespace
@@ -54,27 +71,18 @@ int main(int argc, char** argv) {
       config.listen = argv[++i];
     } else if (arg == "--checkpoint-dir" && has_value) {
       config.checkpoint_dir = argv[++i];
-    } else if (arg == "--checkpoint-period" && has_value) {
-      config.checkpoint_period_days =
-          static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (arg == "--threading" && has_value) {
-      const std::string mode = argv[++i];
-      if (mode == "event-loop") {
-        config.threading = rlblh::serve::ThreadingMode::kEventLoop;
-      } else if (mode == "thread-per-conn") {
-        config.threading = rlblh::serve::ThreadingMode::kThreadPerConn;
+    } else if ((arg == "--checkpoint-period" || arg == "--shards" ||
+                arg == "--max-connections") &&
+               has_value) {
+      const std::optional<std::size_t> value = parse_count(argv[++i]);
+      if (!value) return usage(argv[0]);
+      if (arg == "--checkpoint-period") {
+        config.checkpoint_period_days = *value;
+      } else if (arg == "--shards") {
+        config.shards = *value;
       } else {
-        return usage(argv[0]);
+        config.max_connections = *value;
       }
-    } else if (arg == "--shards" && has_value) {
-      config.shards =
-          static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (arg == "--batch-width" && has_value) {
-      config.batch_width =
-          static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (arg == "--max-connections" && has_value) {
-      config.max_connections =
-          static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
     } else if (arg == "--obs") {
       obs_on = true;
     } else {

@@ -1,6 +1,5 @@
 #include "serve/session.h"
 
-#include <cmath>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -31,10 +30,6 @@ void HouseholdSession::build_components() {
                       "' does not support checkpoint/restore; every served "
                       "household must be resumable");
   }
-  ScenarioSpec blueprint = spec_;
-  blueprint.seed = 0;
-  blueprint.hseed.reset();
-  blueprint_key_ = blueprint.canonical();
 }
 
 bool HouseholdSession::apply_readings(std::uint32_t day,
@@ -43,31 +38,6 @@ bool HouseholdSession::apply_readings(std::uint32_t day,
   RLBLH_REQUIRE(day == days_,
                 "serve session: readings for day " + std::to_string(day) +
                     " but the session is at day " + std::to_string(days_));
-  if (deferred_) {
-    // Validate-and-buffer twin of the eager path below: identical checks,
-    // identical messages, and the same partial-application cursor on a bad
-    // value mid-frame (the valid prefix stays consumed) — so the reply for
-    // every frame, good or bad, is byte-identical to the eager path's.
-    const std::size_t cursor = next_interval();
-    if (!day_open()) {
-      RLBLH_REQUIRE(first_interval == 0,
-                    "serve session: a day must start at interval 0");
-    }
-    RLBLH_REQUIRE(first_interval == cursor,
-                  "serve session: readings at interval " +
-                      std::to_string(first_interval) + " but interval " +
-                      std::to_string(cursor) + " is next");
-    RLBLH_REQUIRE(first_interval + values.size() <= prices_.intervals(),
-                  "serve session: readings run past the end of the day");
-    for (const double v : values) {
-      RLBLH_REQUIRE(std::isfinite(v) && v >= 0.0,
-                    "StreamEngine: usage must be finite and >= 0");
-      pending_.push_back(v);
-    }
-    // Complete days are NOT finalized here: the owning shard chooses the
-    // stream or batch finalizer before it sends the ack.
-    return day_complete();
-  }
   if (!engine_.day_open()) {
     RLBLH_REQUIRE(first_interval == 0,
                   "serve session: a day must start at interval 0");
@@ -89,78 +59,6 @@ bool HouseholdSession::apply_readings(std::uint32_t day,
     return true;
   }
   return false;
-}
-
-void HouseholdSession::set_deferred(bool on) {
-  RLBLH_REQUIRE(!day_open(),
-                "serve session: deferred mode cannot change mid-day");
-  deferred_ = on;
-}
-
-void HouseholdSession::flush_pending_to_stream() {
-  if (pending_.empty()) return;
-  if (!engine_.day_open()) engine_.begin_day(prices_, battery_, *policy_);
-  for (const double v : pending_) engine_.push(v);
-  pending_.clear();
-}
-
-void HouseholdSession::finalize_day_stream() {
-  RLBLH_REQUIRE(day_complete() || (engine_.day_open() &&
-                                   engine_.next_interval() ==
-                                       prices_.intervals()),
-                "serve session: finalize without a complete day");
-  flush_pending_to_stream();
-  const DayResult& result = engine_.finish_day();
-  savings_cents_ += result.savings_cents;
-  bill_cents_ += result.bill_cents;
-  usage_cost_cents_ += result.usage_cost_cents;
-  ++days_;
-}
-
-void HouseholdSession::absorb_batch_lane(const BatchDay& day,
-                                         const BatteryLanes& lanes,
-                                         std::size_t lane) {
-  RLBLH_REQUIRE(!engine_.day_open() && day_complete(),
-                "serve session: batch absorb needs a fully buffered day");
-  RLBLH_REQUIRE(lane < day.width && day.intervals == prices_.intervals(),
-                "serve session: batch lane does not match the session");
-
-  // Battery bookkeeping: BatteryLanes tracks levels and violation counts
-  // but not the cumulative wasted/grid-extra totals that live in the
-  // checkpoint bytes. For the (rare) violated lanes, replay the recorded
-  // per-interval inputs through Battery::step's exact expressions, in
-  // interval order, accumulating onto the pre-day totals — bitwise what a
-  // streamed day would have accumulated, without re-stepping the batch.
-  const std::size_t day_violations = day.battery_violations[lane];
-  double wasted = battery_.total_wasted_charge();
-  double grid_extra = battery_.total_grid_extra();
-  if (day_violations != 0) {
-    const std::size_t pulse = policy_->pulse_width();
-    const double cap = battery_.capacity();
-    const double ce = battery_.charge_efficiency();
-    const double de = battery_.discharge_efficiency();
-    for (std::size_t n = 0; n < day.intervals; ++n) {
-      const double y = day.block_y[(n / pulse) * day.width + lane];
-      const double x_n = day.usage[n * day.width + lane];
-      const double level = day.levels[n * day.width + lane];
-      const double delta = ce * y - x_n / de;
-      const double next = level + delta;
-      if (next > cap) {
-        wasted += next - cap;
-      } else if (next < 0.0) {
-        grid_extra += -next * de;
-      }
-    }
-  }
-  battery_.restore(lanes.level(lane),
-                   battery_.violation_count() + day_violations, wasted,
-                   grid_extra);
-
-  savings_cents_ += day.savings_cents[lane];
-  bill_cents_ += day.bill_cents[lane];
-  usage_cost_cents_ += day.usage_cost_cents[lane];
-  ++days_;
-  pending_.clear();
 }
 
 void HouseholdSession::save(std::ostream& out) const {

@@ -21,12 +21,10 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "battery/battery.h"
 #include "core/policy.h"
 #include "pricing/tou.h"
-#include "sim/batch_engine.h"
 #include "sim/scenario.h"
 #include "sim/stream_engine.h"
 
@@ -49,21 +47,15 @@ class HouseholdSession {
   /// must present a spec with the same canonical form).
   const std::string& spec_text() const { return spec_text_; }
 
-  /// Seed-independent canonical form (seed zeroed, hseed cleared): two
-  /// sessions with equal keys are same-blueprint and may share BatchEngine
-  /// lanes — the serve-side mirror of make_scenario_blueprint's contract.
-  const std::string& blueprint_key() const { return blueprint_key_; }
-
   std::size_t days_completed() const { return days_; }
-  bool day_open() const { return engine_.day_open() || !pending_.empty(); }
+  bool day_open() const { return engine_.day_open(); }
 
   /// Interval the next reading must carry (0 when no day is open). The
   /// engine's cursor only counts while its day is open — StreamEngine
   /// leaves n_ at the day length after finish_day() until the next
   /// begin_day() resets it.
   std::size_t next_interval() const {
-    return (engine_.day_open() ? engine_.next_interval() : 0) +
-           pending_.size();
+    return engine_.day_open() ? engine_.next_interval() : 0;
   }
 
   std::size_t intervals_per_day() const { return prices_.intervals(); }
@@ -85,58 +77,6 @@ class HouseholdSession {
   /// against a batch run's).
   const BlhPolicy& policy() const { return *policy_; }
 
-  // --- deferred-day protocol (event-loop shards) ------------------------
-  //
-  // A shard defers stepping: apply_readings() only validates and buffers,
-  // and the shard decides at day close whether the buffered day runs
-  // through the StreamEngine (singleton) or as one lane of a BatchEngine
-  // staged day (co-resident same-blueprint group). Validation reproduces
-  // the eager path's checks, messages and partial-application cursor
-  // exactly, so replies are byte-identical; the stepped state is identical
-  // because a pulse policy commits each block before the block's usage
-  // exists — deferring the arithmetic cannot change any value it reads.
-
-  /// Switches the session to deferred buffering (set once, right after
-  /// construction/restore; never with a day open).
-  void set_deferred(bool on);
-  bool deferred() const { return deferred_; }
-
-  /// Buffered-but-unstepped usage of the open deferred day.
-  std::span<const double> pending_usage() const { return pending_; }
-
-  /// True when a deferred day is fully buffered and awaits finalization.
-  bool day_complete() const {
-    return !pending_.empty() && next_interval() == prices_.intervals();
-  }
-
-  /// True when the complete day can run as a batch lane: nothing of it has
-  /// been stepped through the StreamEngine (no mid-day Stats flush).
-  bool batch_eligible() const {
-    return day_complete() && !engine_.day_open();
-  }
-
-  /// Steps every buffered interval through the StreamEngine (opening the
-  /// day if needed) without closing the day — the Stats path uses this so
-  /// mid-day battery/cents queries match the eager path bitwise.
-  void flush_pending_to_stream();
-
-  /// Closes a complete deferred day through the StreamEngine (flush +
-  /// finish_day + totals), the singleton/fallback finalizer.
-  void finalize_day_stream();
-
-  /// Absorbs lane `lane` of a finished BatchEngine staged day: money
-  /// totals, battery restore (with the wasted/grid-extra replay for
-  /// violated lanes) and the day counter. The policy advanced in the batch
-  /// run itself. Requires batch_eligible() beforehand.
-  void absorb_batch_lane(const BatchDay& day, const BatteryLanes& lanes,
-                         std::size_t lane);
-
-  /// Mutable policy handle for packing BatchEngine lane spans.
-  BlhPolicy& policy_mut() { return *policy_; }
-
-  const TouSchedule& prices() const { return prices_; }
-  const Battery& battery() const { return battery_; }
-
   /// Writes the full between-days state (spec, counters, cumulative cents,
   /// battery, policy). Throws ConfigError while a day is open.
   void save(std::ostream& out) const;
@@ -147,15 +87,11 @@ class HouseholdSession {
 
   std::uint64_t id_ = 0;
   std::string spec_text_;
-  std::string blueprint_key_;
   ScenarioSpec spec_;
   TouSchedule prices_ = TouSchedule::flat(1, 0.0);  ///< replaced in build
   Battery battery_{1.0};
   std::unique_ptr<BlhPolicy> policy_;
   StreamEngine engine_;
-
-  bool deferred_ = false;
-  std::vector<double> pending_;  ///< validated, not-yet-stepped usage
 
   std::size_t days_ = 0;
   double savings_cents_ = 0.0;

@@ -1,29 +1,19 @@
-// Session shard: the single-writer worker of the event-loop server.
+// Session shard: the single-writer worker behind the server's reactor.
 //
 // The reactor hashes every frame's household id to a fixed shard, so one
 // worker thread owns each session outright — per-session state needs no
 // lock, and each household's frames are processed in arrival order (the
 // same determinism argument as the fleet executor's chunk wall: one writer
-// per household, lanes never mix).
-//
-// Batch stepping: within one queue drain the shard defers day-closing
-// Readings frames to the end of the drain, groups the deferred sessions by
-// blueprint key (same spec modulo seeds), and steps groups of >= 2 through
-// BatchEngine lanes staged from the sessions' buffered usage — singletons
-// and sessions whose day was partially streamed (mid-day Stats) fall back
-// to the per-household StreamEngine. Every reply and checkpoint byte is
-// bit-identical to the thread-per-connection path: the lane kernels are
-// bitwise the stream kernels (DESIGN.md §14), a pulse policy commits each
-// block before the block's usage exists (so deferral changes no value it
-// reads), and per-connection reply order is preserved by slotting deferred
-// acks back into arrival order before the drain's replies flush.
+// per household, lanes never mix). process_item() is the daemon's only
+// frame handler: it decodes the frame, applies Readings eagerly through the
+// session's StreamEngine, persists a closing day's checkpoint, and posts
+// the reply to the reactor — so replies leave in arrival order.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -31,11 +21,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include "battery/battery.h"
 #include "serve/checkpoint.h"
 #include "serve/reactor.h"
 #include "serve/session.h"
-#include "sim/batch_engine.h"
 
 namespace rlblh::serve {
 
@@ -45,12 +33,10 @@ class Shard {
     CheckpointStore* store = nullptr;
     Reactor* reactor = nullptr;
     std::size_t checkpoint_period_days = 1;
-    std::size_t batch_width = 32;  ///< max lanes per staged day; < 2 disables
     std::atomic<bool>* draining = nullptr;
     std::atomic<std::size_t>* malformed = nullptr;
     std::atomic<std::size_t>* days_completed = nullptr;
     std::atomic<std::size_t>* checkpoints = nullptr;
-    std::atomic<std::size_t>* batch_days = nullptr;  ///< lane-stepped closes
   };
 
   explicit Shard(Config config);
@@ -88,47 +74,11 @@ class Shard {
     std::size_t checkpointed_days = 0;
   };
 
-  /// Reply sink for one connection within a drain: replies go straight to
-  /// the reactor until a deferred day-close opens a slot, after which this
-  /// conn's replies queue in arrival order behind it. A deque keeps
-  /// references stable as chunks append — PendingClose::slot points at an
-  /// element while later frames keep growing the queue.
-  struct ConnOut {
-    std::shared_ptr<Conn> conn;
-    std::deque<std::vector<std::uint8_t>> chunks;
-    bool blocked = false;
-  };
-
-  struct PendingClose {
-    std::uint64_t id = 0;
-    Entry* entry = nullptr;
-    std::vector<std::uint8_t>* slot = nullptr;  ///< reply bytes go here
-    bool done = false;
-  };
-
-  struct DrainState {
-    std::unordered_map<Conn*, ConnOut> outs;
-    std::vector<PendingClose> closes;
-    std::unordered_map<std::uint64_t, std::size_t> close_by_id;
-  };
-
   void run();
-  void process_drain(std::vector<Item>& items);
-  void process_item(DrainState& state, Item& item);
-  void emit(DrainState& state, const std::shared_ptr<Conn>& conn,
-            std::vector<std::uint8_t>&& bytes);
-  /// Finalizes the session's pending close now (stream path) so a later
-  /// frame in the same drain sees post-close state.
-  void force_finalize(DrainState& state, std::uint64_t id);
-  void finalize_close(PendingClose& close);
-  void finalize_drain(DrainState& state);
-  void step_batch_group(std::vector<PendingClose*>& group);
+  void process_item(Item& item);
 
   Config config_;
   std::unordered_map<std::uint64_t, std::unique_ptr<Entry>> sessions_;
-
-  BatchEngine batch_engine_;
-  BatteryLanes battery_lanes_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

@@ -200,27 +200,6 @@ void run_segment_tiled(const SegmentArgs& a, std::size_t n0, std::size_t n1,
   }
 }
 
-/// Shared lane-homogeneity gate of both day entry points. The checks back
-/// the lane-native protocol: the batched policy entry points (fill_lanes,
-/// observe_lanes) run on lane 0, whose native override may static_cast the
-/// peers to its own concrete type.
-std::size_t check_policy_lanes(std::span<BlhPolicy* const> policies) {
-  const std::size_t pulse = policies[0]->pulse_width();
-  RLBLH_REQUIRE(pulse > 0,
-                "BatchEngine: policies must support the pulse-block protocol");
-  const bool is_passthrough = policies[0]->passthrough();
-  const std::string_view policy_name = policies[0]->name();
-  for (std::size_t k = 1; k < policies.size(); ++k) {
-    RLBLH_REQUIRE(policies[k]->name() == policy_name,
-                  "BatchEngine: lanes must share one policy type");
-    RLBLH_REQUIRE(policies[k]->pulse_width() == pulse,
-                  "BatchEngine: lanes must share one pulse width");
-    RLBLH_REQUIRE(policies[k]->passthrough() == is_passthrough,
-                  "BatchEngine: lanes must share the passthrough mode");
-  }
-  return pulse;
-}
-
 }  // namespace
 
 const BatchDay& BatchEngine::run_day(std::span<TraceSource* const> sources,
@@ -234,8 +213,21 @@ const BatchDay& BatchEngine::run_day(std::span<TraceSource* const> sources,
   const std::size_t n_m = sources[0]->intervals();
   RLBLH_REQUIRE(prices.intervals() == n_m,
                 "BatchEngine: price schedule length must match the day length");
-  check_policy_lanes(policies);
+  // The homogeneity checks back the lane-native protocol: the batched
+  // policy entry points (fill_lanes, observe_lanes) run on lane 0, whose
+  // native override may static_cast the peers to its own concrete type.
+  const std::size_t pulse = policies[0]->pulse_width();
+  RLBLH_REQUIRE(pulse > 0,
+                "BatchEngine: policies must support the pulse-block protocol");
+  const bool is_passthrough = policies[0]->passthrough();
+  const std::string_view policy_name = policies[0]->name();
   for (std::size_t k = 1; k < width; ++k) {
+    RLBLH_REQUIRE(policies[k]->name() == policy_name,
+                  "BatchEngine: lanes must share one policy type");
+    RLBLH_REQUIRE(policies[k]->pulse_width() == pulse,
+                  "BatchEngine: lanes must share one pulse width");
+    RLBLH_REQUIRE(policies[k]->passthrough() == is_passthrough,
+                  "BatchEngine: lanes must share the passthrough mode");
     RLBLH_REQUIRE(sources[k]->intervals() == n_m,
                   "BatchEngine: lanes must share one day length");
     RLBLH_REQUIRE(typeid(*sources[k]) == typeid(*sources[0]),
@@ -246,7 +238,6 @@ const BatchDay& BatchEngine::run_day(std::span<TraceSource* const> sources,
   day.width = width;
   day.intervals = n_m;
   day.usage.resize(width * n_m);
-  staged_ = false;
 
   // Synthesis: one lane-native call fills the whole interval-major block.
   // The default writes each lane straight into its strided slot (its own
@@ -256,52 +247,12 @@ const BatchDay& BatchEngine::run_day(std::span<TraceSource* const> sources,
   // reads the same layout back through strided lane views.
   sources[0]->next_days_into_lanes(sources, day.usage.data(), n_m);
 
-  return run_core(prices, batteries, policies);
-}
-
-double* BatchEngine::stage_usage(std::size_t width, std::size_t intervals) {
-  RLBLH_REQUIRE(width >= 1 && intervals >= 1,
-                "BatchEngine: a staged day needs lanes and intervals");
-  scratch_.width = width;
-  scratch_.intervals = intervals;
-  scratch_.usage.resize(width * intervals);
-  staged_ = true;
-  return scratch_.usage.data();
-}
-
-const BatchDay& BatchEngine::run_staged_day(
-    const TouSchedule& prices, BatteryLanes& batteries,
-    std::span<BlhPolicy* const> policies) {
-  RLBLH_REQUIRE(staged_,
-                "BatchEngine: run_staged_day() without a staged usage day");
-  const std::size_t width = scratch_.width;
-  RLBLH_REQUIRE(batteries.width() == width && policies.size() == width,
-                "BatchEngine: batteries/policies must match the staged width");
-  RLBLH_REQUIRE(prices.intervals() == scratch_.intervals,
-                "BatchEngine: price schedule length must match the staged day");
-  check_policy_lanes(policies);
-  staged_ = false;
-  return run_core(prices, batteries, policies);
-}
-
-const BatchDay& BatchEngine::run_core(const TouSchedule& prices,
-                                      BatteryLanes& batteries,
-                                      std::span<BlhPolicy* const> policies) {
-  BatchDay& day = scratch_;
-  const std::size_t width = day.width;
-  const std::size_t n_m = day.intervals;
-  const std::size_t pulse = policies[0]->pulse_width();
-  const bool is_passthrough = policies[0]->passthrough();
   day.readings.resize(width * n_m);
   day.levels.resize(width * n_m);
   day.savings_cents.assign(width, 0.0);
   day.bill_cents.assign(width, 0.0);
   day.usage_cost_cents.assign(width, 0.0);
   day.battery_violations.assign(width, 0);
-  // Overflow-safe ceil-div: passthrough advertises pulse_width() == SIZE_MAX
-  // (whole-day block), so `n_m + pulse - 1` must never be formed.
-  day.block_y.resize((n_m / pulse + (n_m % pulse != 0 ? 1 : 0)) * width);
-  day.blocks = 0;
   block_y_.resize(width);
 
   for (std::size_t k = 0; k < width; ++k) policies[k]->begin_day(prices);
@@ -333,7 +284,6 @@ const BatchDay& BatchEngine::run_core(const TouSchedule& prices,
       RLBLH_REQUIRE(y[k] >= 0.0,
                     "BatchEngine: policy produced a negative reading");
     }
-    std::copy(y, y + width, day.block_y.data() + blocks * width);
     std::size_t n = n0;
     if (is_passthrough) {
       // No battery transfer: the meter measures usage directly and every
@@ -388,7 +338,6 @@ const BatchDay& BatchEngine::run_core(const TouSchedule& prices,
     n0 = block_end;
   }
   for (std::size_t k = 0; k < width; ++k) policies[k]->end_day();
-  day.blocks = blocks;
 
   std::size_t total_violations = 0;
   std::size_t* cumulative = batteries.violations();

@@ -65,14 +65,6 @@ struct BatchDay {
   std::vector<double> usage_cost_cents;  ///< per lane: sum r_n x_n
   std::vector<std::size_t> battery_violations;  ///< per lane, this day only
 
-  /// Committed pulse height of every block, blocks-major: block b's lane-k
-  /// value lives at [b * width + k], with blocks tiling the day at the
-  /// policies' pulse width. Consumers that must reconstruct per-interval
-  /// battery arithmetic after the fact (the serving layer's wasted/grid-
-  /// extra accounting) replay from these instead of re-asking the policy.
-  std::vector<double> block_y;
-  std::size_t blocks = 0;  ///< number of blocks recorded in block_y
-
   /// Lane k's usage series as a strided read-only view.
   ConstTraceLane usage_lane(std::size_t k) const {
     return ConstTraceLane(usage.data() + k, width, intervals);
@@ -100,33 +92,9 @@ class BatchEngine {
                           const TouSchedule& prices, BatteryLanes& batteries,
                           std::span<BlhPolicy* const> policies);
 
-  /// Stages a day whose usage comes from outside instead of a TraceSource
-  /// (the serving daemon's buffered meter readings). Sizes the scratch day
-  /// to `width` lanes of `intervals` and returns the interval-major usage
-  /// buffer ([n * width + k], width * intervals slots) for the caller to
-  /// fill; every value must be finite and >= 0 (validated upstream — the
-  /// kernels assume it, exactly as they assume it of synthesized traces).
-  /// The pointer stays valid until the next run_day/stage_usage call.
-  double* stage_usage(std::size_t width, std::size_t intervals);
-
-  /// Runs one day over usage staged by stage_usage(): identical to
-  /// run_day() minus synthesis — same homogeneity checks on the policies,
-  /// same kernels, same call and accumulation order, so lane k is bitwise
-  /// the StreamEngine run of household k over the same usage. `batteries`
-  /// and `policies` must match the staged width, `prices` the staged day
-  /// length. Returns the engine's reused SoA day record.
-  const BatchDay& run_staged_day(const TouSchedule& prices,
-                                 BatteryLanes& batteries,
-                                 std::span<BlhPolicy* const> policies);
-
  private:
-  /// The shared compute core: block loop over already-staged usage.
-  const BatchDay& run_core(const TouSchedule& prices, BatteryLanes& batteries,
-                           std::span<BlhPolicy* const> policies);
-
   BatchDay scratch_;
   std::vector<double> block_y_;  ///< per-lane pulse height of current block
-  bool staged_ = false;          ///< stage_usage() armed, not yet consumed
 };
 
 }  // namespace rlblh

@@ -1,14 +1,10 @@
 // In-process daemon tests: protocol round-trips over a real unix socket,
 // malformed-frame handling, reconnect/resume semantics, the load generator
-// end to end, and the headline differential — a daemon that is crashed
-// (no drain checkpoint) mid-day and restarted finishes with byte-identical
-// household checkpoints to an uninterrupted direct run.
-//
-// Every protocol-visible behavior runs under BOTH threading models
-// (ServeModeTest is parameterized over ThreadingMode), and the cross-mode
-// tests pin the contract directly: the epoll/shard server and the
-// thread-per-connection server produce bitwise-identical checkpoint files
-// and acks, with or without server-side BatchEngine stepping.
+// end to end, and the headline differentials — a load_gen fleet leaves
+// checkpoint files byte-identical to HouseholdSessions fed the same usage
+// offline (no sockets), and a daemon that is crashed (no drain checkpoint)
+// mid-day and restarted finishes with byte-identical household checkpoints
+// to an uninterrupted direct run.
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -18,6 +14,7 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -49,14 +46,10 @@ std::string unique_dir(const std::string& tag) {
 
 /// A started server on a unix socket under its own scratch directory.
 struct TestDaemon {
-  explicit TestDaemon(const std::string& tag,
-                      ThreadingMode threading = ThreadingMode::kEventLoop,
-                      std::size_t checkpoint_period = 1) {
+  explicit TestDaemon(const std::string& tag) {
     dir = unique_dir(tag);
     config.listen = "unix:" + dir + "/sock";
     config.checkpoint_dir = dir + "/ckpt";
-    config.checkpoint_period_days = checkpoint_period;
-    config.threading = threading;
     server = std::make_unique<ServeServer>(config);
     server->start();
   }
@@ -96,27 +89,6 @@ void send_day(ServeClient& client, std::uint64_t id, std::uint32_t day,
   }
 }
 
-std::string mode_tag(ThreadingMode mode) {
-  return mode == ThreadingMode::kEventLoop ? "el" : "tpc";
-}
-
-/// Both threading models must show every protocol behavior identically.
-class ServeModeTest : public testing::TestWithParam<ThreadingMode> {
- protected:
-  std::string tag(const std::string& base) const {
-    return base + "_" + mode_tag(GetParam());
-  }
-};
-
-INSTANTIATE_TEST_SUITE_P(Modes, ServeModeTest,
-                         testing::Values(ThreadingMode::kEventLoop,
-                                         ThreadingMode::kThreadPerConn),
-                         [](const testing::TestParamInfo<ThreadingMode>& i) {
-                           return i.param == ThreadingMode::kEventLoop
-                                      ? "EventLoop"
-                                      : "ThreadPerConn";
-                         });
-
 TEST(ServeServerTest, ResolvesEphemeralTcpEndpoint) {
   ServeConfig config;
   config.listen = "tcp:0";
@@ -128,8 +100,8 @@ TEST(ServeServerTest, ResolvesEphemeralTcpEndpoint) {
   server.stop();
 }
 
-TEST_P(ServeModeTest, HelloReadingsStatsByeRoundTrip) {
-  TestDaemon daemon(tag("roundtrip"), GetParam());
+TEST(ServeServerTest, HelloReadingsStatsByeRoundTrip) {
+  TestDaemon daemon("roundtrip");
   ServeClient client(daemon.server->endpoint(), 1);
   client.connect();
 
@@ -158,8 +130,8 @@ TEST_P(ServeModeTest, HelloReadingsStatsByeRoundTrip) {
   daemon.server->stop();
 }
 
-TEST_P(ServeModeTest, RejectsBadSpecAndUnknownHousehold) {
-  TestDaemon daemon(tag("rejects"), GetParam());
+TEST(ServeServerTest, RejectsBadSpecAndUnknownHousehold) {
+  TestDaemon daemon("rejects");
   ServeClient client(daemon.server->endpoint(), 2);
   client.connect();
 
@@ -183,8 +155,8 @@ TEST_P(ServeModeTest, RejectsBadSpecAndUnknownHousehold) {
   daemon.server->stop();
 }
 
-TEST_P(ServeModeTest, OutOfOrderReadingsRejectedWithoutStateDamage) {
-  TestDaemon daemon(tag("out_of_order"), GetParam());
+TEST(ServeServerTest, OutOfOrderReadingsRejectedWithoutStateDamage) {
+  TestDaemon daemon("out_of_order");
   ServeClient client(daemon.server->endpoint(), 3);
   client.connect();
   client.hello(4, kSpec);
@@ -203,8 +175,8 @@ TEST_P(ServeModeTest, OutOfOrderReadingsRejectedWithoutStateDamage) {
   daemon.server->stop();
 }
 
-TEST_P(ServeModeTest, MalformedFrameGetsErrorAndConnectionSurvives) {
-  TestDaemon daemon(tag("malformed"), GetParam());
+TEST(ServeServerTest, MalformedFrameGetsErrorAndConnectionSurvives) {
+  TestDaemon daemon("malformed");
   const int fd = connect_endpoint(daemon.server->endpoint());
 
   // A well-framed payload with a bogus version byte.
@@ -242,8 +214,8 @@ TEST_P(ServeModeTest, MalformedFrameGetsErrorAndConnectionSurvives) {
   daemon.server->stop();
 }
 
-TEST_P(ServeModeTest, OversizedLengthPrefixDropsConnection) {
-  TestDaemon daemon(tag("oversized"), GetParam());
+TEST(ServeServerTest, OversizedLengthPrefixDropsConnection) {
+  TestDaemon daemon("oversized");
   const int fd = connect_endpoint(daemon.server->endpoint());
 
   const std::uint32_t huge = kMaxFrameBytes + 1;
@@ -270,8 +242,9 @@ TEST_P(ServeModeTest, OversizedLengthPrefixDropsConnection) {
   daemon.server->stop();
 }
 
-TEST_P(ServeModeTest, ConnectionCapRejectsTheExcessConnection) {
-  TestDaemon daemon(tag("conn_cap"), GetParam());
+TEST(ServeServerTest, ConnectionCapRejectsTheExcessConnection) {
+  TestDaemon daemon("conn_cap");
+  EXPECT_EQ(daemon.server->effective_max_connections(), 65536u);
   daemon.server->stop();
   daemon.config.max_connections = 2;
   daemon.restart();
@@ -325,8 +298,8 @@ TEST(ServeServerTest, ConnectRetriesCountFailures) {
   EXPECT_FALSE(client.connected());
 }
 
-TEST_P(ServeModeTest, MidDayReconnectResumesFromLiveCursor) {
-  TestDaemon daemon(tag("mid_day_cursor"), GetParam());
+TEST(ServeServerTest, MidDayReconnectResumesFromLiveCursor) {
+  TestDaemon daemon("mid_day_cursor");
   const ScenarioSpec spec = ScenarioSpec::parse(kSpec);
   std::unique_ptr<TraceSource> source = make_scenario_source(spec);
   const DayTrace day0 = source->next_day();
@@ -361,8 +334,8 @@ TEST_P(ServeModeTest, MidDayReconnectResumesFromLiveCursor) {
   daemon.server->stop();
 }
 
-TEST_P(ServeModeTest, LoadGenDrivesFleetEndToEnd) {
-  TestDaemon daemon(tag("load_gen"), GetParam());
+TEST(ServeServerTest, LoadGenDrivesFleetEndToEnd) {
+  TestDaemon daemon("load_gen");
   LoadGenConfig config;
   config.endpoint = daemon.server->endpoint();
   config.households = 3;
@@ -387,141 +360,125 @@ TEST_P(ServeModeTest, LoadGenDrivesFleetEndToEnd) {
   }
 }
 
-// The cross-mode contract, stated directly: the same fleet driven against
-// an event-loop daemon and a thread-per-connection daemon leaves bitwise
-// identical checkpoint files for every household.
-TEST(ServeServerTest, EventLoopAndThreadPerConnCheckpointsBitwiseIdentical) {
-  LoadGenConfig load;
-  load.households = 4;
-  load.days = 2;
-  load.seed_base = 300;
-  load.threads = 2;
-
-  TestDaemon event_loop("xmode_el", ThreadingMode::kEventLoop);
-  load.endpoint = event_loop.server->endpoint();
-  run_load(load);
-  event_loop.server->stop();
-
-  TestDaemon per_conn("xmode_tpc", ThreadingMode::kThreadPerConn);
-  load.endpoint = per_conn.server->endpoint();
-  run_load(load);
-  per_conn.server->stop();
-
-  const CheckpointStore el_store(event_loop.config.checkpoint_dir);
-  const CheckpointStore tpc_store(per_conn.config.checkpoint_dir);
-  for (std::uint64_t id = 300; id < 304; ++id) {
-    EXPECT_EQ(read_file(el_store.path_for(id)),
-              read_file(tpc_store.path_for(id)))
-        << "household " << id;
-  }
-}
-
-/// Pipelines `days` whole-day Readings frames for households
-/// [base, base+n) over ONE connection, all of a day's closes written
-/// back-to-back before any ack is read — so the shard sees co-resident
-/// same-blueprint day closes inside single queue drains and can step them
-/// as BatchEngine lanes. Returns every ack payload in arrival order.
-std::vector<std::vector<std::uint8_t>> drive_pipelined_fleet(
-    const std::string& endpoint, std::uint64_t base, std::size_t n,
-    std::size_t days, std::uint64_t seed_base) {
-  const int fd = connect_endpoint(endpoint);
-  std::vector<std::unique_ptr<TraceSource>> sources;
-  std::vector<std::uint8_t> blob;
-  for (std::size_t h = 0; h < n; ++h) {
-    const std::string spec =
-        "policy=rlblh;seed=" + std::to_string(seed_base + h);
-    sources.push_back(make_scenario_source(ScenarioSpec::parse(spec)));
-    encode_hello(blob, HelloMsg{base + h, spec});
-  }
-  send_all(fd, blob.data(), blob.size());
-
-  std::size_t expected = n;  // hello acks
+/// A HouseholdSession fed `days` whole days of `spec`'s usage with no
+/// daemon in the loop, serialized the way CheckpointStore writes it.
+std::string offline_checkpoint(std::uint64_t id, const std::string& spec,
+                               std::size_t days) {
+  HouseholdSession session(id, spec);
+  std::unique_ptr<TraceSource> source =
+      make_scenario_source(ScenarioSpec::parse(spec));
   for (std::size_t d = 0; d < days; ++d) {
-    blob.clear();
-    for (std::size_t h = 0; h < n; ++h) {
-      const DayTrace trace = sources[h]->next_day();
-      encode_readings(blob, ReadingsMsg{base + h, static_cast<std::uint32_t>(d),
-                                        0, trace.values()});
-    }
-    send_all(fd, blob.data(), blob.size());
-    expected += n;
+    const DayTrace trace = source->next_day();
+    EXPECT_TRUE(session.apply_readings(static_cast<std::uint32_t>(d), 0,
+                                       std::span<const double>(trace.values())));
   }
-
-  std::vector<std::vector<std::uint8_t>> acks;
-  FrameReader reader;
-  std::vector<std::uint8_t> payload;
-  std::uint8_t buffer[65536];
-  while (acks.size() < expected) {
-    while (reader.take(payload)) {
-      acks.push_back(payload);
-      payload.clear();
-    }
-    if (acks.size() >= expected) break;
-    const std::size_t got = recv_some(fd, buffer, sizeof(buffer));
-    if (got == 0) break;
-    reader.append(buffer, got);
-  }
-  close_quietly(fd);
-  EXPECT_EQ(acks.size(), expected);
-  return acks;
+  std::stringstream bytes;
+  session.save(bytes);
+  return bytes.str();
 }
 
-// Server-side batch stepping: a pipelined fleet of same-blueprint
-// households closes days inside shared shard drains, so the event-loop
-// daemon steps them through BatchEngine lanes — and every checkpoint file
-// and every ack byte still equals the thread-per-connection daemon's.
-TEST(ServeServerTest, BatchSteppedFleetMatchesThreadPerConnByteForByte) {
-  constexpr std::uint64_t kBase = 500;
-  constexpr std::size_t kHouseholds = 8;
-  constexpr std::size_t kDays = 2;
+// The serving oracle: a load_gen fleet of two blueprints, plus one
+// household that asks for Stats mid-day, leaves every h<id>.ckpt
+// byte-identical to a HouseholdSession fed the same household_spec usage
+// offline — the serving stack (reactor, shards, framing, reply order) adds
+// nothing to the bits.
+TEST(ServeServerTest, DaemonCheckpointsMatchOfflineSessionsByteForByte) {
+  constexpr std::size_t kDays = 3;
+  TestDaemon daemon("offline_oracle");
 
-  // Reference: the same pipelined traffic against a thread-per-conn daemon
-  // (which never batches).
-  TestDaemon reference("batch_ref", ThreadingMode::kThreadPerConn);
-  const std::vector<std::vector<std::uint8_t>> expected_acks =
-      drive_pipelined_fleet(reference.server->endpoint(), kBase, kHouseholds,
-                            kDays, kBase);
-  reference.server->stop();
-  EXPECT_EQ(reference.server->batch_days_completed(), 0u);
+  std::vector<LoadGenConfig> fleets(2);
+  fleets[0].base_spec = "policy=rlblh";
+  fleets[0].seed_base = 600;
+  fleets[1].base_spec = "policy=rlblh;battery=10";
+  fleets[1].seed_base = 700;
+  for (LoadGenConfig& fleet : fleets) {
+    fleet.endpoint = daemon.server->endpoint();
+    fleet.households = 3;
+    fleet.days = kDays;
+    fleet.threads = 2;
+  }
+  std::vector<std::string> fleet_errors(fleets.size());
+  std::vector<std::thread> fleet_threads;
+  for (std::size_t f = 0; f < fleets.size(); ++f) {
+    fleet_threads.emplace_back([&fleets, &fleet_errors, f] {
+      try {
+        run_load(fleets[f]);
+      } catch (const std::exception& e) {
+        fleet_errors[f] = e.what();
+      }
+    });
+  }
 
-  // Candidate: one shard so every household is co-resident. Batch
-  // engagement needs >= 2 day closes inside one queue drain; the pipelined
-  // writes make that overwhelmingly likely, but a pathological scheduler
-  // could still drain frame-by-frame, so retry a few times rather than
-  // flake. Byte equality is asserted on EVERY attempt.
-  std::size_t batch_days = 0;
-  for (int attempt = 0; attempt < 5 && batch_days == 0; ++attempt) {
-    TestDaemon daemon("batch_el_" + std::to_string(attempt),
-                      ThreadingMode::kEventLoop);
-    daemon.server->stop();
-    daemon.config.shards = 1;
-    daemon.config.batch_width = 32;
-    daemon.restart();
-    const std::vector<std::vector<std::uint8_t>> acks = drive_pipelined_fleet(
-        daemon.server->endpoint(), kBase, kHouseholds, kDays, kBase);
-    daemon.server->stop();
-    batch_days = daemon.server->batch_days_completed();
-
-    ASSERT_EQ(acks.size(), expected_acks.size());
-    for (std::size_t i = 0; i < acks.size(); ++i) {
-      EXPECT_EQ(acks[i], expected_acks[i]) << "ack " << i;
+  // The Stats household shares the second blueprint and is driven by hand
+  // while the fleets run; its mid-day battery level must equal the offline
+  // session's at the same interval.
+  LoadGenConfig stats_household = fleets[1];
+  stats_household.seed_base = 800;
+  const std::uint64_t stats_id = 800;
+  const std::string stats_spec = household_spec(stats_household, 0);
+  try {
+    std::unique_ptr<TraceSource> source =
+        make_scenario_source(ScenarioSpec::parse(stats_spec));
+    HouseholdSession offline(stats_id, stats_spec);
+    ServeClient client(daemon.server->endpoint(), 9);
+    client.connect();
+    client.hello(stats_id, stats_spec);
+    for (std::uint32_t d = 0; d < kDays; ++d) {
+      const DayTrace trace = source->next_day();
+      const std::span<const double> day(trace.values());
+      if (d == 1) {
+        const std::span<const double> head = day.first(500);
+        client.send_readings(stats_id, d, 0,
+                             std::vector<double>(head.begin(), head.end()));
+        offline.apply_readings(d, 0, head);
+        const StatsAckMsg stats = client.stats(stats_id);
+        EXPECT_EQ(stats.days_completed, 1u);
+        EXPECT_EQ(stats.battery_level_kwh, offline.battery_level());
+        EXPECT_EQ(stats.savings_cents, offline.savings_cents());
+        send_day(client, stats_id, d, trace, 500);
+        offline.apply_readings(d, 500, day.subspan(500));
+      } else {
+        send_day(client, stats_id, d, trace);
+        offline.apply_readings(d, 0, day);
+      }
     }
-    const CheckpointStore el_store(daemon.config.checkpoint_dir);
-    const CheckpointStore ref_store(reference.config.checkpoint_dir);
-    for (std::uint64_t id = kBase; id < kBase + kHouseholds; ++id) {
-      EXPECT_EQ(read_file(el_store.path_for(id)),
-                read_file(ref_store.path_for(id)))
+    client.bye(stats_id);
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "stats household " << stats_id << ": " << e.what();
+  }
+  for (std::thread& thread : fleet_threads) thread.join();
+  for (const std::string& error : fleet_errors) EXPECT_EQ(error, "");
+  daemon.server->stop();
+
+  const CheckpointStore store(daemon.config.checkpoint_dir);
+  for (const LoadGenConfig& fleet : fleets) {
+    for (std::size_t h = 0; h < fleet.households; ++h) {
+      const std::uint64_t id = fleet.seed_base + h;
+      EXPECT_EQ(read_file(store.path_for(id)),
+                offline_checkpoint(id, household_spec(fleet, h), kDays))
           << "household " << id;
     }
   }
-  EXPECT_GT(batch_days, 0u)
-      << "batch stepping never engaged across 5 pipelined attempts";
+  EXPECT_EQ(read_file(store.path_for(stats_id)),
+            offline_checkpoint(stats_id, stats_spec, kDays));
+}
+
+TEST(ServeServerTest, RejectsShardCountAboveCeiling) {
+  ServeConfig config;
+  config.checkpoint_dir = unique_dir("shard_ceiling") + "/ckpt";
+  config.shards = kMaxShards;
+  EXPECT_NO_THROW(ServeServer{config});
+  config.shards = kMaxShards + 1;
+  EXPECT_THROW(ServeServer{config}, ConfigError);
+  // What `--shards -1` would have wrapped to without strict parsing.
+  config.shards = static_cast<std::size_t>(-1);
+  EXPECT_THROW(ServeServer{config}, ConfigError);
 }
 
 // The headline guarantee: SIGKILL mid-day + restart + client replay ends in
 // EXACTLY the state an uninterrupted run reaches — proven at the byte level
 // against a direct (no daemon) HouseholdSession over the same days.
-TEST_P(ServeModeTest, CrashMidDayRestartMatchesUninterruptedByteForByte) {
+TEST(ServeServerTest, CrashMidDayRestartMatchesUninterruptedByteForByte) {
   const ScenarioSpec spec = ScenarioSpec::parse(kSpec);
   std::unique_ptr<TraceSource> source = make_scenario_source(spec);
   std::vector<DayTrace> days;
@@ -543,7 +500,7 @@ TEST_P(ServeModeTest, CrashMidDayRestartMatchesUninterruptedByteForByte) {
 
   // Interrupted run: day 0 acked, day 1 half-sent, then the daemon dies
   // without any drain checkpoint.
-  TestDaemon daemon(tag("crash_restart"), GetParam());
+  TestDaemon daemon("crash_restart");
   {
     ServeClient client(daemon.server->endpoint(), 7);
     client.connect();
@@ -576,20 +533,20 @@ TEST_P(ServeModeTest, CrashMidDayRestartMatchesUninterruptedByteForByte) {
 // Same crash/restart story driven entirely through run_load, comparing the
 // final checkpoint files of an interrupted daemon against an uninterrupted
 // daemon for every household.
-TEST_P(ServeModeTest, LoadGenKillRestartMatchesUninterruptedCheckpoints) {
+TEST(ServeServerTest, LoadGenKillRestartMatchesUninterruptedCheckpoints) {
   LoadGenConfig load;
   load.households = 2;
   load.days = 3;
   load.seed_base = 40;
 
   // Uninterrupted daemon.
-  TestDaemon baseline(tag("kill_baseline"), GetParam());
+  TestDaemon baseline("kill_baseline");
   load.endpoint = baseline.server->endpoint();
   run_load(load);
   baseline.server->stop();
 
   // Interrupted daemon: one day, crash, restart, finish the full target.
-  TestDaemon victim(tag("kill_victim"), GetParam());
+  TestDaemon victim("kill_victim");
   LoadGenConfig first_leg = load;
   first_leg.endpoint = victim.server->endpoint();
   first_leg.days = 1;
