@@ -10,6 +10,7 @@
 #include "core/rlblh_policy.h"
 #include "meter/household.h"
 #include "meter/household_registry.h"
+#include "meter/usage_stats.h"
 #include "pricing/pricing_registry.h"
 #include "sim/experiment.h"
 
@@ -69,7 +70,7 @@ void BM_SgdUpdate(benchmark::State& state) {
   for (auto _ : state) {
     q.sgd_update(3, features, 0.25, 0.005);
   }
-  benchmark::DoNotOptimize(q.function(3).weights().front());
+  benchmark::DoNotOptimize(q.weights(3).front());
 }
 BENCHMARK(BM_SgdUpdate);
 
@@ -112,6 +113,25 @@ void BM_TrainVirtualDay(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TrainVirtualDay);
+
+void BM_SyntheticDaySample(benchmark::State& state) {
+  // One synthetic day drawn from per-interval usage statistics (the SYN
+  // heuristic's other half, beside the replayed day above).
+  const RlBlhConfig config = bench_config();
+  UsageStatsTracker tracker(config.intervals_per_day, config.usage_cap,
+                            config.stats_bins, config.stats_reservoir);
+  HouseholdModel household(make_household_config("default", {}), 9);
+  Rng rng(10);
+  for (int d = 0; d < 10; ++d) {
+    tracker.observe_day(household.generate_day(), rng);
+  }
+  std::vector<double> day;
+  for (auto _ : state) {
+    tracker.sample_day_into(rng, day);
+    benchmark::DoNotOptimize(day.data());
+  }
+}
+BENCHMARK(BM_SyntheticDaySample);
 
 void BM_FullSimulatedDay(benchmark::State& state) {
   // A whole simulated day end to end (trace generation + control + battery).

@@ -1,65 +1,30 @@
 #include "core/qfunction.h"
 
-#include "util/error.h"
+#include <algorithm>
 
 namespace rlblh {
 
-PerActionLinearQ::PerActionLinearQ(std::size_t num_actions,
-                                   std::size_t dimension) {
+namespace {
+std::size_t checked_size(std::size_t num_actions, std::size_t dimension) {
   RLBLH_REQUIRE(num_actions >= 1, "PerActionLinearQ: need >= 1 action");
-  functions_.reserve(num_actions);
-  for (std::size_t a = 0; a < num_actions; ++a) {
-    functions_.emplace_back(dimension);
-  }
+  RLBLH_REQUIRE(dimension >= 1, "PerActionLinearQ: dimension must be >= 1");
+  return num_actions * dimension;
 }
+}  // namespace
 
-double PerActionLinearQ::value(std::span<const double> features,
-                               std::size_t a) const {
-  RLBLH_REQUIRE(a < functions_.size(),
-                "PerActionLinearQ: action index out of range");
-  return functions_[a].value(features);
-}
+PerActionLinearQ::PerActionLinearQ(std::size_t num_actions,
+                                   std::size_t dimension)
+    : num_actions_(num_actions),
+      dimension_(dimension),
+      weights_(checked_size(num_actions, dimension), 0.0) {}
 
-std::size_t PerActionLinearQ::argmax(
-    std::span<const double> features,
-    const std::vector<std::size_t>& allowed) const {
-  RLBLH_REQUIRE(!allowed.empty(), "PerActionLinearQ: empty action set");
-  std::size_t best = allowed.front();
-  double best_value = value(features, best);
-  for (std::size_t i = 1; i < allowed.size(); ++i) {
-    const double v = value(features, allowed[i]);
-    if (v > best_value) {
-      best_value = v;
-      best = allowed[i];
-    }
-  }
-  return best;
-}
-
-double PerActionLinearQ::max_value(
-    std::span<const double> features,
-    const std::vector<std::size_t>& allowed) const {
-  return value(features, argmax(features, allowed));
-}
-
-void PerActionLinearQ::sgd_update(std::size_t a,
-                                  std::span<const double> features,
-                                  double error, double step) {
-  RLBLH_REQUIRE(a < functions_.size(),
-                "PerActionLinearQ: action index out of range");
-  functions_[a].sgd_update(features, error, step);
-}
-
-const LinearFunction& PerActionLinearQ::function(std::size_t a) const {
-  RLBLH_REQUIRE(a < functions_.size(),
-                "PerActionLinearQ: action index out of range");
-  return functions_[a];
-}
-
-LinearFunction& PerActionLinearQ::function(std::size_t a) {
-  RLBLH_REQUIRE(a < functions_.size(),
-                "PerActionLinearQ: action index out of range");
-  return functions_[a];
+void PerActionLinearQ::set_weights(std::size_t a,
+                                   std::span<const double> weights) {
+  check_action(a);
+  RLBLH_REQUIRE(weights.size() == dimension_,
+                "PerActionLinearQ: dimension mismatch");
+  std::copy(weights.begin(), weights.end(),
+            weights_.begin() + static_cast<std::ptrdiff_t>(a * dimension_));
 }
 
 }  // namespace rlblh

@@ -28,7 +28,7 @@ RlBlhConfig validated(RlBlhConfig config) {
 [[maybe_unused]] double weight_norm(const PerActionLinearQ& q) {
   double sum_sq = 0.0;
   for (std::size_t a = 0; a < q.num_actions(); ++a) {
-    for (const double w : q.function(a).weights()) {
+    for (const double w : q.weights(a)) {
       sum_sq += w * w;
     }
   }
@@ -46,7 +46,9 @@ RlBlhPolicy::RlBlhPolicy(RlBlhConfig config)
       rng_(config_.seed),
       actions_all_(config_.num_actions),
       actions_zero_only_{0},
-      actions_max_only_{config_.num_actions - 1} {
+      actions_max_only_{config_.num_actions - 1},
+      q_values_(config_.num_actions, 0.0),
+      q2_values_(config_.num_actions, 0.0) {
   for (std::size_t a = 0; a < actions_all_.size(); ++a) actions_all_[a] = a;
   day_stats_.reserve(256);
 }
@@ -227,7 +229,8 @@ void RlBlhPolicy::observe_usage(std::size_t n, double usage) {
   RLBLH_REQUIRE(day_open_, "RlBlhPolicy: observe_usage() before begin_day()");
   RLBLH_REQUIRE(n == next_observe_n_ && n + 1 == next_reading_n_,
                 "RlBlhPolicy: usage must be observed right after reading()");
-  RLBLH_REQUIRE(usage >= 0.0, "RlBlhPolicy: usage must be >= 0");
+  RLBLH_REQUIRE(std::isfinite(usage) && usage >= 0.0,
+                "RlBlhPolicy: usage must be finite and >= 0");
   today_usage_.push_back(usage);
   // S_k(a) accumulation (paper Eq. 7).
   pending_savings_ +=
@@ -252,10 +255,16 @@ void RlBlhPolicy::observe_block(std::size_t n0, ConstTraceLane usage) {
   const double* const rates = prices_->rates().data();
   const double* const values = usage.data();
   const std::size_t stride = usage.stride();
+  // The whole block is validated before any of it is recorded, so a
+  // rejected block leaves the day as if it had not been offered.
+  for (std::size_t i = 0; i < usage.size(); ++i) {
+    const double x = values[i * stride];
+    RLBLH_REQUIRE(std::isfinite(x) && x >= 0.0,
+                  "RlBlhPolicy: usage must be finite and >= 0");
+  }
   double pending = pending_savings_;
   for (std::size_t i = 0; i < usage.size(); ++i) {
     const double x = values[i * stride];
-    RLBLH_REQUIRE(x >= 0.0, "RlBlhPolicy: usage must be >= 0");
     today_usage_.push_back(x);
     pending += rates[n0 + i] * (x - magnitude);
   }
@@ -401,8 +410,8 @@ void RlBlhPolicy::end_day() {
   if (config_.enable_synthetic && d % config_.synthetic_period == 0 &&
       d <= config_.synthetic_last_day) {
     for (std::size_t v = 0; v < config_.synthetic_repeats; ++v) {
-      const DayTrace synthetic = stats_.sample_day(rng_);
-      train_virtual_day(synthetic.values(), replay_start());
+      stats_.sample_day_into(rng_, synthetic_day_);
+      train_virtual_day(synthetic_day_, replay_start());
     }
   }
 }
@@ -413,49 +422,117 @@ double RlBlhPolicy::train_virtual_day(const std::vector<double>& usage,
                 "RlBlhPolicy: no price schedule yet (run a real day first)");
   RLBLH_REQUIRE(usage.size() == config_.intervals_per_day,
                 "RlBlhPolicy: virtual day must have n_M usage values");
+  // std::clamp passes NaN through, so a non-finite value would reach the
+  // level, the features and then every weight; reject it up front.
+  RLBLH_REQUIRE(std::all_of(usage.begin(), usage.end(),
+                            [](double x) { return std::isfinite(x); }),
+                "RlBlhPolicy: virtual day usage must be finite");
+  RLBLH_REQUIRE(!std::isnan(initial_level),
+                "RlBlhPolicy: virtual day initial level must not be NaN");
   const double alpha_now = current_alpha();
   const double epsilon_now = exploration_ ? current_epsilon() : 0.0;
+  RLBLH_REQUIRE(epsilon_now >= 0.0 && epsilon_now <= 1.0,
+                "RlBlhPolicy: epsilon must be in [0,1]");
   const std::size_t k_max = config_.decisions_per_day();
   const std::size_t n_d = config_.decision_interval;
+  const double usage_cap = config_.usage_cap;
+  const double capacity = config_.battery_capacity;
+  const double* const rates = prices_->rates().data();
+  const bool double_q = config_.double_q;
 
-  double level =
-      std::clamp(initial_level, 0.0, config_.battery_capacity);
+  // Decision k needs Q(k, B_k, a) for every allowed a: for its acting
+  // argmax, and for the chosen action's TD error. Decision k-1's bootstrap
+  // already evaluated both tables at exactly (k, B_k) over exactly that
+  // allowed set, and its SGD step changed one row of one table since. So
+  // the caches below carry those values across the boundary and only the
+  // updated row is re-evaluated: every value read is the one a fresh
+  // per-call evaluation would return, bit for bit. Indices come from the
+  // precomputed feasible sets, so the per-call range checks are moot.
+  const auto evaluate = [&](const std::array<double, FeatureBasis::kDim>& f,
+                            const std::vector<std::size_t>& allowed) {
+    for (const std::size_t a : allowed) q_values_[a] = q_.dot(a, f.data());
+    if (double_q) {
+      for (const std::size_t a : allowed) q2_values_[a] = q2_.dot(a, f.data());
+    }
+  };
+  // Acting value: Q, or Q1 + Q2 under double-Q (act on the mean).
+  const auto acting = [&](std::size_t a) {
+    return double_q ? q_values_[a] + q2_values_[a] : q_values_[a];
+  };
+  // First allowed action with the largest value (ties toward the earlier
+  // entry), as PerActionLinearQ::argmax orders its comparisons.
+  const auto best_of = [](const std::vector<std::size_t>& allowed,
+                          const auto& value_of) {
+    std::size_t best = allowed.front();
+    double best_value = value_of(best);
+    for (std::size_t i = 1; i < allowed.size(); ++i) {
+      const double v = value_of(allowed[i]);
+      if (v > best_value) {
+        best_value = v;
+        best = allowed[i];
+      }
+    }
+    return best;
+  };
+
+  double level = std::clamp(initial_level, 0.0, capacity);
+  auto features = basis_.at(0, level);
+  const std::vector<std::size_t>* allowed = &allowed_actions(level);
+  evaluate(features, *allowed);
   double abs_error = 0.0;
 
   for (std::size_t k = 0; k < k_max; ++k) {
-    const auto features = basis_.at(k, level);
-    const auto& allowed = allowed_actions(level);
-    const std::size_t greedy = acting_argmax(features, allowed);
-    const std::size_t action =
-        epsilon_greedy(allowed, greedy, epsilon_now, rng_);
+    // Epsilon-greedy with epsilon_greedy()'s draw order: the coin, then
+    // the index only when exploring.
+    const std::size_t greedy = best_of(*allowed, acting);
+    std::size_t action = greedy;
+    if (rng_.uniform() < epsilon_now) {
+      const auto i = static_cast<std::size_t>(
+          rng_.uniform_int(0, static_cast<int>(allowed->size() - 1)));
+      action = (*allowed)[i];
+    }
     const double magnitude = config_.action_magnitude(action);
 
     double savings = 0.0;
+    const std::size_t n0 = k * n_d;
     const std::size_t width = config_.decision_width(k);
-    for (std::size_t i = 0; i < width; ++i) {
-      const std::size_t n = k * n_d + i;
-      const double x = std::clamp(usage[n], 0.0, config_.usage_cap);
-      savings += prices_->rate(n) * (x - magnitude);
+    for (std::size_t n = n0; n < n0 + width; ++n) {
+      const double x = std::clamp(usage[n], 0.0, usage_cap);
+      savings += rates[n] * (x - magnitude);
       level += magnitude - x;
     }
     // The feasibility rule keeps a lossless battery within bounds; clamp
     // defensively so replayed data with out-of-band values cannot corrupt
     // the state normalization.
-    level = std::clamp(level, 0.0, config_.battery_capacity);
+    level = std::clamp(level, 0.0, capacity);
 
-    const bool use_first = config_.double_q ? rng_.bernoulli(0.5) : true;
+    const bool use_first = double_q ? rng_.bernoulli(0.5) : true;
     PerActionLinearQ& learner = use_first ? q_ : q2_;
+    std::vector<double>& learner_values = use_first ? q_values_ : q2_values_;
+    const double learner_q = learner_values[action];
     double target = savings;
-    if (k + 1 < k_max) {
-      const auto next_features = basis_.at(k + 1, level);
-      target += bootstrap_value(next_features, allowed_actions(level),
-                                use_first);
+    const bool terminal = k + 1 == k_max;
+    std::array<double, FeatureBasis::kDim> next_features{};
+    if (!terminal) {
+      next_features = basis_.at(k + 1, level);
+      allowed = &allowed_actions(level);
+      evaluate(next_features, *allowed);
+      // max_a' Q(next): select with the table being updated and, under
+      // double-Q, evaluate with the other one.
+      const std::vector<double>& evaluator =
+          double_q && use_first ? q2_values_ : q_values_;
+      target += evaluator[best_of(
+          *allowed, [&](std::size_t a) { return learner_values[a]; })];
     }
-    const double delta_q = target - learner.value(features, action);
+    const double delta_q = target - learner_q;
     if (learning_) {
       learner.sgd_update(action, features, delta_q, alpha_now);
+      if (!terminal) {
+        learner_values[action] = learner.dot(action, next_features.data());
+      }
     }
     abs_error += std::abs(delta_q);
+    features = next_features;
   }
   if (learning_) ++episodes_;
   RLBLH_OBS_COUNT("rl.virtual_days", 1);

@@ -141,10 +141,12 @@ class RlBlhPolicy final : public BlhPolicy {
     return config_.action_magnitude(a);
   }
 
-  /// Runs one offline training day on the given usage series (length n_M)
-  /// against the current day's price schedule, starting from
-  /// `initial_level`. This is the INNER LOOP in REUSE/SYN mode; exposed for
-  /// tests and ablations. Returns the day's mean |Delta Q|.
+  /// Runs one offline training day on the given usage series (length n_M,
+  /// every value finite; values are clamped to [0, x_M]) against the
+  /// current day's price schedule, starting from `initial_level` (not NaN).
+  /// This is the INNER LOOP in REUSE/SYN mode; exposed for tests and
+  /// ablations. Returns the day's mean |Delta Q|. Invalid input throws
+  /// ConfigError before any weight, RNG or counter changes.
   double train_virtual_day(const std::vector<double>& usage,
                            double initial_level);
 
@@ -210,6 +212,13 @@ class RlBlhPolicy final : public BlhPolicy {
   std::size_t day_ = 0;       ///< completed real days
   std::size_t episodes_ = 0;  ///< completed inner-loop runs (real + virtual)
   std::vector<RlBlhDayStats> day_stats_;
+
+  // train_virtual_day / end_day scratch, never checkpointed and never read
+  // across calls: per-action Q values at the current decision's features
+  // (one cache per table) and the SYN heuristic's synthetic-day buffer.
+  std::vector<double> q_values_;
+  std::vector<double> q2_values_;
+  std::vector<double> synthetic_day_;
 
   // fill_lanes scratch, alive only on the instance the batch engine calls
   // (lane 0). Not part of the behavioral state: never checkpointed, never

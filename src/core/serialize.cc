@@ -18,7 +18,7 @@ void save_weights(std::ostream& out, const PerActionLinearQ& q) {
       << '\n';
   out.precision(17);
   for (std::size_t a = 0; a < q.num_actions(); ++a) {
-    const auto& weights = q.function(a).weights();
+    const auto weights = q.weights(a);
     for (std::size_t i = 0; i < weights.size(); ++i) {
       if (i > 0) out << ' ';
       out << weights[i];
@@ -65,7 +65,7 @@ PerActionLinearQ load_weights(std::istream& in) {
       throw DataError("weights: too many values for action " +
                       std::to_string(a));
     }
-    q.function(a).set_weights(std::move(weights));
+    q.set_weights(a, weights);
   }
   return q;
 }

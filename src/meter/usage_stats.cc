@@ -1,8 +1,10 @@
 #include "meter/usage_stats.h"
 
+#include <cmath>
 #include <istream>
 #include <ostream>
 #include <string>
+#include <utility>
 
 #include "util/error.h"
 
@@ -29,13 +31,22 @@ void UsageStatsTracker::observe_day(ConstTraceLane day, Rng& rng) {
 }
 
 DayTrace UsageStatsTracker::sample_day(Rng& rng) const {
+  std::vector<double> values;
+  sample_day_into(rng, values);
+  return DayTrace(std::move(values));
+}
+
+void UsageStatsTracker::sample_day_into(Rng& rng,
+                                        std::vector<double>& out) const {
   RLBLH_REQUIRE(days_ >= 1,
                 "UsageStatsTracker: cannot sample before observing a day");
-  DayTrace day(dists_.size());
+  out.resize(dists_.size());
   for (std::size_t n = 0; n < dists_.size(); ++n) {
-    day.set(n, dists_[n].sample(rng));
+    const double x = dists_[n].sample(rng);
+    RLBLH_REQUIRE(std::isfinite(x) && x >= 0.0,
+                  "UsageStatsTracker: sampled usage must be finite and >= 0");
+    out[n] = x;
   }
-  return day;
 }
 
 double UsageStatsTracker::mean_at(std::size_t n) const {

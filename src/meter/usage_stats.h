@@ -38,6 +38,12 @@ class UsageStatsTracker {
   /// empirical distribution. Requires days_observed() >= 1.
   DayTrace sample_day(Rng& rng) const;
 
+  /// sample_day() into a caller-owned buffer, resized to intervals(): the
+  /// same draws in the same order, without a per-day allocation once the
+  /// buffer has grown. Every value is checked finite and >= 0, as
+  /// DayTrace::set checks it.
+  void sample_day_into(Rng& rng, std::vector<double>& out) const;
+
   /// Mean usage at interval n over all observed days.
   double mean_at(std::size_t n) const;
 

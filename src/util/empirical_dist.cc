@@ -36,28 +36,6 @@ double EmpiricalDistribution::mean() const {
   return sum_ / static_cast<double>(count_);
 }
 
-double EmpiricalDistribution::sample(Rng& rng) const {
-  RLBLH_REQUIRE(count_ >= 1, "EmpiricalDistribution: cannot sample when empty");
-  if (!reservoir_.empty() && rng.uniform() < reservoir_fraction_) {
-    const auto i = static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<int>(reservoir_.size() - 1)));
-    return reservoir_[i];
-  }
-  // Draw a histogram cell proportionally to its mass, then jitter within it.
-  double target = rng.uniform() * hist_.total();
-  std::size_t cell = hist_.bins() - 1;
-  for (std::size_t i = 0; i < hist_.bins(); ++i) {
-    target -= hist_.count(i);
-    if (target <= 0.0) {
-      cell = i;
-      break;
-    }
-  }
-  const double width = (hist_.hi() - hist_.lo()) / static_cast<double>(hist_.bins());
-  const double left = hist_.lo() + static_cast<double>(cell) * width;
-  return left + rng.uniform() * width;
-}
-
 void EmpiricalDistribution::save(std::ostream& out) const {
   const auto precision = out.precision(17);
   out << "edist " << count_ << ' ' << sum_ << ' ' << reservoir_fraction_

@@ -38,8 +38,32 @@ class EmpiricalDistribution {
   /// Draws a value distributed like the observed data. With probability
   /// `reservoir_fraction` (default 0.5) an exact retained observation is
   /// returned; otherwise a histogram cell is drawn by mass and a uniform
-  /// point inside it is returned. Requires count() >= 1.
-  double sample(Rng& rng) const;
+  /// point inside it is returned. Requires count() >= 1. Inline: the SYN
+  /// heuristic draws one sample per interval of every synthetic day.
+  double sample(Rng& rng) const {
+    RLBLH_REQUIRE(count_ >= 1,
+                  "EmpiricalDistribution: cannot sample when empty");
+    if (!reservoir_.empty() && rng.uniform() < reservoir_fraction_) {
+      const auto i = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<int>(reservoir_.size() - 1)));
+      return reservoir_[i];
+    }
+    // Draw a histogram cell proportionally to its mass, then jitter within
+    // it.
+    double target = rng.uniform() * hist_.total();
+    std::size_t cell = hist_.bins() - 1;
+    for (std::size_t i = 0; i < hist_.bins(); ++i) {
+      target -= hist_.count(i);
+      if (target <= 0.0) {
+        cell = i;
+        break;
+      }
+    }
+    const double width =
+        (hist_.hi() - hist_.lo()) / static_cast<double>(hist_.bins());
+    const double left = hist_.lo() + static_cast<double>(cell) * width;
+    return left + rng.uniform() * width;
+  }
 
   /// Read access to the underlying histogram (used by tests and diagnostics).
   const Histogram& histogram() const { return hist_; }

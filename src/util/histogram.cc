@@ -34,11 +34,6 @@ double Histogram::bin_center(std::size_t i) const {
   return lo_ + (static_cast<double>(i) + 0.5) * width_;
 }
 
-double Histogram::count(std::size_t i) const {
-  RLBLH_REQUIRE(i < counts_.size(), "Histogram: bin index out of range");
-  return counts_[i];
-}
-
 double Histogram::probability(std::size_t i) const {
   if (total_ == 0.0) return 0.0;
   return count(i) / total_;

@@ -45,7 +45,10 @@ class Histogram {
   double total() const { return total_; }
 
   /// Weight in cell i.
-  double count(std::size_t i) const;
+  double count(std::size_t i) const {
+    RLBLH_REQUIRE(i < counts_.size(), "Histogram: bin index out of range");
+    return counts_[i];
+  }
 
   /// Probability mass of cell i (count / total); 0 when empty.
   double probability(std::size_t i) const;

@@ -36,29 +36,48 @@ constexpr std::uint64_t derive_stream_seed(std::uint64_t base,
 
 /// A seedable pseudo-random source wrapping std::mt19937_64 with the handful
 /// of draw shapes the simulators need. Copyable; copies evolve independently.
+/// The uniform and bernoulli draws are closed forms over canonical(), equal
+/// bit for bit to the libstdc++ distributions they replace; uniform_int,
+/// normal and exponential stay on the std:: distributions.
 class Rng {
  public:
   /// Constructs a generator from a 64-bit seed.
   explicit Rng(std::uint64_t seed) : engine_(seed) {}
 
-  /// Uniform real in [0, 1).
-  double uniform() { return std::uniform_real_distribution<double>(0.0, 1.0)(engine_); }
+  /// The canonical [0, 1) draw for one 64-bit engine word: the word
+  /// rounded once to the nearest double, scaled by 2^-64, and clamped below
+  /// 1 (words >= 2^64 - 1024 round up to 2^64). Each 32-bit half converts
+  /// to double exactly through a signed integer, so there is no sign-bit
+  /// branch, and the sum rounds once: bit for bit the value libstdc++'s
+  /// std::generate_canonical<double, 53> makes from a std::mt19937_64 word
+  /// (pinned draw for draw, edge words included, by rng_canonical_test).
+  static double canonical(std::uint64_t word) {
+    const double high =
+        static_cast<double>(static_cast<std::int64_t>(word >> 32));
+    const double low =
+        static_cast<double>(static_cast<std::int64_t>(word & 0xffffffffULL));
+    const double u = (high * 0x1p32 + low) * 0x1p-64;
+    return u < 1.0 ? u : 0x1.fffffffffffffp-1;  // nextafter(1.0, 0.0)
+  }
 
-  /// Uniform real in [lo, hi). Requires lo <= hi.
+  /// Uniform real in [0, 1).
+  double uniform() { return canonical(engine_()); }
+
+  /// Uniform real in [lo, hi). Requires lo <= hi. Computed as
+  /// u * (hi - lo) + lo, std::uniform_real_distribution's expression.
   double uniform(double lo, double hi) {
     RLBLH_REQUIRE(lo <= hi, "Rng::uniform: lo must be <= hi");
-    return std::uniform_real_distribution<double>(lo, hi)(engine_);
+    return uniform() * (hi - lo) + lo;
   }
 
   /// Fills `out` with uniform reals in [lo, hi). Requires lo <= hi. Each
-  /// element is produced by a distribution constructed per draw, exactly as
-  /// a sequence of uniform(lo, hi) calls would, so batched and one-at-a-time
-  /// consumption of the stream yield bitwise-identical values.
+  /// element is exactly what one uniform(lo, hi) call would return, so
+  /// batched and one-at-a-time consumption of the stream yield
+  /// bitwise-identical values.
   void fill_uniform(double lo, double hi, std::span<double> out) {
     RLBLH_REQUIRE(lo <= hi, "Rng::fill_uniform: lo must be <= hi");
-    for (double& v : out) {
-      v = std::uniform_real_distribution<double>(lo, hi)(engine_);
-    }
+    const double width = hi - lo;
+    for (double& v : out) v = uniform() * width + lo;
   }
 
   /// Strided fill: writes `count` uniform reals in [lo, hi) to out[0],
@@ -70,8 +89,9 @@ class Rng {
     RLBLH_REQUIRE(lo <= hi, "Rng::fill_uniform_strided: lo must be <= hi");
     RLBLH_REQUIRE(out != nullptr && stride >= 1,
                   "Rng::fill_uniform_strided: need a target with stride >= 1");
+    const double width = hi - lo;
     for (std::size_t i = 0; i < count; ++i) {
-      out[i * stride] = std::uniform_real_distribution<double>(lo, hi)(engine_);
+      out[i * stride] = uniform() * width + lo;
     }
   }
 
@@ -94,10 +114,11 @@ class Rng {
     return std::exponential_distribution<double>(rate)(engine_);
   }
 
-  /// Bernoulli draw: true with probability p in [0, 1].
+  /// Bernoulli draw: true with probability p in [0, 1]. Always consumes one
+  /// word (also at p = 0 or 1), as std::bernoulli_distribution does.
   bool bernoulli(double p) {
     RLBLH_REQUIRE(p >= 0.0 && p <= 1.0, "Rng::bernoulli: p must be in [0,1]");
-    return std::bernoulli_distribution(p)(engine_);
+    return uniform() < p;
   }
 
   /// Derives an independent child generator; useful for giving each

@@ -1,5 +1,10 @@
 #include "core/rlblh_policy.h"
 
+#include <cmath>
+#include <limits>
+#include <sstream>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "battery/battery.h"
@@ -43,6 +48,18 @@ std::vector<double> run_day(RlBlhPolicy& policy, Battery& battery,
   }
   policy.end_day();
   return readings;
+}
+
+std::vector<double> row(const PerActionLinearQ& q, std::size_t a) {
+  const auto weights = q.weights(a);
+  return {weights.begin(), weights.end()};
+}
+
+/// The policy's full checkpoint (weights, RNG stream, statistics, counters).
+std::string checkpoint(const RlBlhPolicy& policy) {
+  std::ostringstream out;
+  policy.save_state(out);
+  return out.str();
 }
 
 std::vector<double> random_usage(std::size_t n, double cap, Rng& rng) {
@@ -214,7 +231,7 @@ TEST(RlBlhPolicy, LearningDisabledFreezesWeights) {
   Rng rng(8);
   run_day(policy, battery, random_usage(48, 0.08, rng), small_prices());
   for (std::size_t a = 0; a < 4; ++a) {
-    for (const double w : policy.q().function(a).weights()) {
+    for (const double w : policy.q().weights(a)) {
       EXPECT_DOUBLE_EQ(w, 0.0);
     }
   }
@@ -228,7 +245,7 @@ TEST(RlBlhPolicy, LearningChangesWeights) {
   run_day(policy, battery, random_usage(48, 0.08, rng), small_prices());
   double norm = 0.0;
   for (std::size_t a = 0; a < 4; ++a) {
-    for (const double w : policy.q().function(a).weights()) norm += w * w;
+    for (const double w : policy.q().weights(a)) norm += w * w;
   }
   EXPECT_GT(norm, 0.0);
 }
@@ -277,12 +294,92 @@ TEST(RlBlhPolicy, TrainVirtualDayUpdatesWeights) {
   Battery battery(1.0, 0.5);
   Rng rng(12);
   run_day(policy, battery, random_usage(48, 0.08, rng), small_prices());
-  const auto before = policy.q().function(3).weights();
+  const auto before = row(policy.q(), 3);
   for (int i = 0; i < 20; ++i) {
     policy.train_virtual_day(std::vector<double>(48, 0.05), 0.1);
   }
   // Starting at 0.1 (below the low guard) forces action 3; its weights move.
-  EXPECT_NE(policy.q().function(3).weights(), before);
+  EXPECT_NE(row(policy.q(), 3), before);
+}
+
+TEST(RlBlhPolicy, TrainVirtualDayRejectsNonFiniteInputBeforeAnyChange) {
+  // std::clamp passes NaN through, so an unchecked NaN would reach every
+  // weight. Rejection must come before the RNG, the tables or the episode
+  // counter move: the checkpoint bytes are unchanged.
+  RlBlhConfig config = small_config();
+  config.double_q = true;
+  RlBlhPolicy policy(config);
+  Battery battery(1.0, 0.5);
+  Rng rng(13);
+  run_day(policy, battery, random_usage(48, 0.08, rng), small_prices());
+  const std::string before = checkpoint(policy);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    for (const std::size_t n : {std::size_t{0}, std::size_t{17},
+                                std::size_t{47}}) {
+      std::vector<double> usage(48, 0.01);
+      usage[n] = bad;
+      EXPECT_THROW(policy.train_virtual_day(usage, 0.5), ConfigError)
+          << "value " << bad << " at interval " << n;
+      EXPECT_EQ(checkpoint(policy), before);
+    }
+  }
+  EXPECT_THROW(policy.train_virtual_day(
+                   std::vector<double>(48, 0.01),
+                   std::numeric_limits<double>::quiet_NaN()),
+               ConfigError);
+  EXPECT_EQ(checkpoint(policy), before);
+  for (const double w : policy.q().weights(0)) EXPECT_TRUE(std::isfinite(w));
+}
+
+TEST(RlBlhPolicy, ObserveRejectsNonFiniteUsageWithoutSideEffects) {
+  // A rejected observation leaves the day as if it had not been offered: a
+  // twin that never saw it ends the day (REUSE and SYN replays included)
+  // with identical weights, RNG stream and statistics.
+  const TouSchedule prices = small_prices();
+  Rng rng(14);
+  const auto usage = random_usage(48, 0.08, rng);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    // Per-interval protocol.
+    RlBlhPolicy twin(small_config());
+    RlBlhPolicy policy(small_config());
+    Battery twin_battery(1.0, 0.5);
+    run_day(twin, twin_battery, usage, prices);
+    Battery battery(1.0, 0.5);
+    policy.begin_day(prices);
+    for (std::size_t n = 0; n < usage.size(); ++n) {
+      const double y = policy.reading(n, battery.level());
+      battery.step(y, usage[n]);
+      if (n == 21) {
+        EXPECT_THROW(policy.observe_usage(n, bad), ConfigError);
+      }
+      policy.observe_usage(n, usage[n]);
+    }
+    policy.end_day();
+    EXPECT_EQ(checkpoint(policy), checkpoint(twin));
+
+    // Block protocol: the bad value sits inside a pulse-wide block.
+    RlBlhPolicy block_policy(small_config());
+    Battery block_battery(1.0, 0.5);
+    block_policy.begin_day(prices);
+    for (std::size_t n0 = 0; n0 < usage.size(); n0 += 4) {
+      const double y = block_policy.fill_block(n0, 4, block_battery.level());
+      for (std::size_t n = n0; n < n0 + 4; ++n) block_battery.step(y, usage[n]);
+      if (n0 == 20) {
+        std::vector<double> poisoned(usage.begin() + 20, usage.begin() + 24);
+        poisoned[2] = bad;
+        EXPECT_THROW(block_policy.observe_block(
+                         n0, ConstTraceLane(poisoned.data(), 1, 4)),
+                     ConfigError);
+      }
+      block_policy.observe_block(
+          n0, ConstTraceLane(usage.data() + n0, 1, 4));
+    }
+    block_policy.end_day();
+    EXPECT_EQ(checkpoint(block_policy), checkpoint(twin));
+  }
 }
 
 class GuardSweep : public ::testing::TestWithParam<

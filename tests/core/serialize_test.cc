@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -11,13 +12,18 @@
 namespace rlblh {
 namespace {
 
+std::vector<double> row(const PerActionLinearQ& q, std::size_t a) {
+  const auto weights = q.weights(a);
+  return {weights.begin(), weights.end()};
+}
+
 PerActionLinearQ sample_q() {
   PerActionLinearQ q(3, 4);
   Rng rng(5);
   for (std::size_t a = 0; a < q.num_actions(); ++a) {
     std::vector<double> weights(q.dimension());
     for (auto& w : weights) w = rng.uniform(-10.0, 10.0);
-    q.function(a).set_weights(std::move(weights));
+    q.set_weights(a, weights);
   }
   return q;
 }
@@ -31,7 +37,7 @@ TEST(Serialize, RoundTripsExactly) {
   ASSERT_EQ(loaded.num_actions(), original.num_actions());
   ASSERT_EQ(loaded.dimension(), original.dimension());
   for (std::size_t a = 0; a < original.num_actions(); ++a) {
-    EXPECT_EQ(loaded.function(a).weights(), original.function(a).weights());
+    EXPECT_EQ(row(loaded, a), row(original, a));
   }
 }
 
@@ -69,7 +75,7 @@ TEST(Serialize, FileRoundTrip) {
   const PerActionLinearQ original = sample_q();
   save_weights_file(path, original);
   const PerActionLinearQ loaded = load_weights_file(path);
-  EXPECT_EQ(loaded.function(2).weights(), original.function(2).weights());
+  EXPECT_EQ(row(loaded, 2), row(original, 2));
   std::remove(path.c_str());
   EXPECT_THROW(load_weights_file(path), DataError);
   EXPECT_THROW(save_weights_file("/no/such/dir/w.txt", original), DataError);
@@ -77,13 +83,13 @@ TEST(Serialize, FileRoundTrip) {
 
 TEST(Serialize, PreservesFullDoublePrecision) {
   PerActionLinearQ q(1, 2);
-  q.function(0).set_weights({1.0 / 3.0, -2.0e-15});
+  q.set_weights(0, std::vector<double>{1.0 / 3.0, -2.0e-15});
   std::ostringstream out;
   save_weights(out, q);
   std::istringstream in(out.str());
   const PerActionLinearQ loaded = load_weights(in);
-  EXPECT_DOUBLE_EQ(loaded.function(0).weights()[0], 1.0 / 3.0);
-  EXPECT_DOUBLE_EQ(loaded.function(0).weights()[1], -2.0e-15);
+  EXPECT_DOUBLE_EQ(loaded.weights(0)[0], 1.0 / 3.0);
+  EXPECT_DOUBLE_EQ(loaded.weights(0)[1], -2.0e-15);
 }
 
 }  // namespace

@@ -157,7 +157,7 @@ TEST(Invariants, LongRunStabilityWithFullHeuristics) {
   }
   ASSERT_EQ(policy.day_stats().size(), 60u);
   for (std::size_t a = 0; a < config.num_actions; ++a) {
-    for (const double w : policy.q().function(a).weights()) {
+    for (const double w : policy.q().weights(a)) {
       ASSERT_TRUE(std::isfinite(w));
     }
   }

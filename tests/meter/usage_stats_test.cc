@@ -1,5 +1,7 @@
 #include "meter/usage_stats.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "meter/household.h"
@@ -18,6 +20,8 @@ TEST(UsageStatsTracker, CannotSampleBeforeObserving) {
   UsageStatsTracker tracker(10, 0.08);
   Rng rng(1);
   EXPECT_THROW(tracker.sample_day(rng), ConfigError);
+  std::vector<double> buffer;
+  EXPECT_THROW(tracker.sample_day_into(rng, buffer), ConfigError);
 }
 
 TEST(UsageStatsTracker, RejectsMismatchedDayLength) {
@@ -48,6 +52,25 @@ TEST(UsageStatsTracker, SampledDayHasCorrectShape) {
     EXPECT_GE(sample.at(n), 0.0);
     EXPECT_LE(sample.at(n), 0.08);
   }
+}
+
+TEST(UsageStatsTracker, SampleDayIntoDrawsWhatSampleDayDraws) {
+  // The buffer form reuses one caller-owned vector across days; the values
+  // and the RNG stream position are sample_day()'s.
+  HouseholdModel model(HouseholdConfig{}, 22);
+  UsageStatsTracker tracker(kIntervalsPerDay, kDefaultUsageCap);
+  Rng observe_rng(5);
+  for (int day = 0; day < 5; ++day) {
+    tracker.observe_day(model.generate_day(), observe_rng);
+  }
+  Rng a(6);
+  Rng b(6);
+  std::vector<double> buffer(3, -1.0);
+  for (int day = 0; day < 3; ++day) {
+    tracker.sample_day_into(a, buffer);
+    EXPECT_EQ(buffer, tracker.sample_day(b).values());
+  }
+  EXPECT_EQ(a.uniform(), b.uniform());
 }
 
 TEST(UsageStatsTracker, SyntheticDaysMatchSourceStatistics) {

@@ -33,7 +33,7 @@ PerActionLinearQ materialize(const QSpec& spec) {
                             spec.weights.begin() +
                                 static_cast<std::ptrdiff_t>((a + 1) *
                                                             spec.dimension));
-    q.function(a).set_weights(std::move(row));
+    q.set_weights(a, row);
   }
   return q;
 }
@@ -126,8 +126,8 @@ TEST(SerializeProptest, RoundTripIsBitwiseExact) {
         PROPTEST_CHECK(loaded.dimension() == original.dimension(),
                        "feature dimension changed across the round trip");
         for (std::size_t a = 0; a < original.num_actions(); ++a) {
-          const auto& before = original.function(a).weights();
-          const auto& after = loaded.function(a).weights();
+          const auto before = original.weights(a);
+          const auto after = loaded.weights(a);
           for (std::size_t i = 0; i < before.size(); ++i) {
             const auto bits_before = std::bit_cast<std::uint64_t>(before[i]);
             const auto bits_after = std::bit_cast<std::uint64_t>(after[i]);
