@@ -14,7 +14,15 @@ namespace {
 TEST(PerActionLinearQ, RejectsBadConstruction) {
   EXPECT_THROW(PerActionLinearQ(0, 6), ConfigError);
   EXPECT_THROW(PerActionLinearQ(4, 0), ConfigError);
+}
+
+TEST(PerActionLinearQ, RejectsEmptyWeightRow) {
+  // A row has no zero-length form: the table refuses a zero feature
+  // dimension, and a row write must carry exactly `dimension()` weights.
+  EXPECT_THROW(PerActionLinearQ(1, 0), ConfigError);
   EXPECT_THROW(PerActionLinearQ(0, 0), ConfigError);
+  PerActionLinearQ q(1, 3);
+  EXPECT_THROW(q.set_weights(0, std::vector<double>{}), ConfigError);
 }
 
 TEST(PerActionLinearQ, ZeroInitialized) {
