@@ -133,6 +133,13 @@ void BM_SyntheticDaySample(benchmark::State& state) {
 }
 BENCHMARK(BM_SyntheticDaySample);
 
+void BM_RngWord(benchmark::State& state) {
+  // One engine word, the unit a synthetic day spends ~2.5 of per interval.
+  Rng rng(11);
+  for (auto _ : state) benchmark::DoNotOptimize(rng.engine()());
+}
+BENCHMARK(BM_RngWord);
+
 void BM_FullSimulatedDay(benchmark::State& state) {
   // A whole simulated day end to end (trace generation + control + battery).
   RlBlhPolicy policy(bench_config());

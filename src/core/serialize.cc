@@ -83,8 +83,8 @@ PerActionLinearQ load_weights_file(const std::string& path) {
 }
 
 void save_rng(std::ostream& out, const Rng& rng) {
-  // mt19937_64's stream operators serialize the full 312-word state plus
-  // the position counter as decimal integers — exact by construction.
+  // The engine writes the full 312-word state plus the position counter as
+  // decimal integers (std::mt19937_64's text) — exact by construction.
   out << "rng " << rng.engine() << '\n';
 }
 
@@ -93,9 +93,19 @@ Rng load_rng(std::istream& in) {
   if (!(in >> word) || word != "rng") {
     throw DataError("rng: missing or wrong header (expected 'rng')");
   }
+  // The state is the rest of the line, so a short word list cannot borrow
+  // numbers from the lines after it.
+  std::string line;
+  std::getline(in, line);
+  std::istringstream state(line);
   Rng rng(0);
-  if (!(in >> rng.engine())) {
-    throw DataError("rng: malformed engine state");
+  if (!(state >> rng.engine())) {
+    throw DataError(
+        "rng: malformed engine state (expected 312 words and a position in "
+        "[0, 312])");
+  }
+  if (state >> word) {
+    throw DataError("rng: unexpected '" + word + "' after the engine state");
   }
   return rng;
 }

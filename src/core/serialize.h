@@ -40,12 +40,17 @@ PerActionLinearQ load_weights_file(const std::string& path);
 // doubles exactly — the same "bitwise through text" property the weight
 // format has relied on since v1.
 
-/// Writes the RNG engine state (std::mt19937_64's 312-word state plus
-/// position) on one line.
+/// Writes the RNG engine state (312 untempered words plus the position) on
+/// one line. Rng's engine is the in-repo branch-free MT19937-64, whose text
+/// is byte for byte what libstdc++ writes for a std::mt19937_64 in the same
+/// state, so `rlblh-policy v1` checkpoints are unchanged by the engine swap
+/// and the line also loads into a std::mt19937_64.
 void save_rng(std::ostream& out, const Rng& rng);
 
 /// Restores an Rng whose subsequent draw stream is bitwise identical to the
-/// saved generator's. Throws DataError on malformed input.
+/// saved generator's (or to that of the std::mt19937_64 whose text it is).
+/// Throws DataError on malformed input: a short word list, a position above
+/// 312, or anything else on the line.
 Rng load_rng(std::istream& in);
 
 /// Writes the battery's dynamic state: level and the cumulative violation

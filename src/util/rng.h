@@ -10,6 +10,7 @@
 #include <span>
 
 #include "util/error.h"
+#include "util/mt64.h"
 
 namespace rlblh {
 
@@ -34,11 +35,15 @@ constexpr std::uint64_t derive_stream_seed(std::uint64_t base,
   return splitmix64(splitmix64(base) ^ (index + 0xD1B54A32D192ED03ULL));
 }
 
-/// A seedable pseudo-random source wrapping std::mt19937_64 with the handful
-/// of draw shapes the simulators need. Copyable; copies evolve independently.
-/// The uniform and bernoulli draws are closed forms over canonical(), equal
-/// bit for bit to the libstdc++ distributions they replace; uniform_int,
-/// normal and exponential stay on the std:: distributions.
+/// A seedable pseudo-random source with the handful of draw shapes the
+/// simulators need. Copyable; copies evolve independently. The engine is
+/// Mt64, an in-repo MT19937-64 whose words and state text equal libstdc++'s
+/// std::mt19937_64 (so goldens and checkpoints are those of the std engine)
+/// but whose twist has no data-dependent branch: the std twist mispredicts
+/// on about half its words, which made it the cost of SYN sampling. The
+/// uniform and bernoulli draws are closed forms over canonical(), equal bit
+/// for bit to the libstdc++ distributions they replace; uniform_int, normal
+/// and exponential stay on the std:: distributions.
 class Rng {
  public:
   /// Constructs a generator from a 64-bit seed.
@@ -125,15 +130,16 @@ class Rng {
   /// subcomponent its own stream so draws in one do not perturb another.
   Rng fork() { return Rng(engine_()); }
 
-  /// Access to the underlying engine for std::distributions not wrapped here.
-  std::mt19937_64& engine() { return engine_; }
+  /// Access to the underlying engine for std::distributions not wrapped
+  /// here; it draws the words a same-seeded std::mt19937_64 would.
+  Mt64& engine() { return engine_; }
 
-  /// Read access for state serialization (std::mt19937_64's stream operators
-  /// round-trip the full 312-word state exactly).
-  const std::mt19937_64& engine() const { return engine_; }
+  /// Read access for state serialization: Mt64's stream operators round-trip
+  /// the full 312-word state exactly, in std::mt19937_64's text.
+  const Mt64& engine() const { return engine_; }
 
  private:
-  std::mt19937_64 engine_;
+  Mt64 engine_;
 };
 
 /// Lane-batched uniform draws: out[k] is ONE uniform [0, 1) draw from

@@ -5,7 +5,9 @@
 // indistinguishable from the original's.
 #include <bit>
 #include <cstdint>
+#include <random>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -45,6 +47,104 @@ TEST(RngCheckpointTest, RoundTripContinuesBitwise) {
 TEST(RngCheckpointTest, RejectsMalformedInput) {
   std::stringstream bad("not-rng 1 2 3");
   EXPECT_THROW(load_rng(bad), DataError);
+}
+
+/// The state text after "rng ", split into its 312 words and the position.
+std::vector<std::string> state_fields(const Rng& rng) {
+  std::stringstream buffer;
+  save_rng(buffer, rng);
+  std::string header;
+  buffer >> header;
+  std::vector<std::string> fields;
+  for (std::string field; buffer >> field;) fields.push_back(field);
+  return fields;
+}
+
+std::string join(const std::vector<std::string>& fields) {
+  std::string line = "rng";
+  for (const std::string& field : fields) line += ' ' + field;
+  return line + '\n';
+}
+
+TEST(RngCheckpointTest, RejectsPositionPastTheEnd) {
+  Rng rng(3);
+  rng.uniform();
+  std::vector<std::string> fields = state_fields(rng);
+  ASSERT_EQ(fields.size(), 313u);
+  for (const char* position : {"313", "1000", "18446744073709551615", "-1"}) {
+    fields.back() = position;
+    std::stringstream in(join(fields));
+    EXPECT_THROW(load_rng(in), DataError) << "position " << position;
+  }
+  fields.back() = "312";
+  std::stringstream at_end(join(fields));
+  EXPECT_NO_THROW(load_rng(at_end));
+}
+
+TEST(RngCheckpointTest, RejectsTruncatedWordList) {
+  Rng rng(4);
+  const std::vector<std::string> fields = state_fields(rng);
+  // 311 words and a position, followed by a line of numbers that a
+  // token-by-token reader would have taken as the missing word.
+  std::vector<std::string> short_list(fields.begin() + 1, fields.end());
+  std::stringstream in(join(short_list) + "7 8 9\n");
+  EXPECT_THROW(load_rng(in), DataError);
+  // Cut mid-line at end of input.
+  std::vector<std::string> cut(fields.begin(), fields.begin() + 100);
+  std::string text = join(cut);
+  text.pop_back();
+  std::stringstream cut_in(text);
+  EXPECT_THROW(load_rng(cut_in), DataError);
+  std::stringstream header_only("rng\n");
+  EXPECT_THROW(load_rng(header_only), DataError);
+  // A token after the position is not part of any engine state.
+  std::vector<std::string> extra = fields;
+  extra.push_back("5");
+  std::stringstream extra_in(join(extra));
+  EXPECT_THROW(load_rng(extra_in), DataError);
+}
+
+TEST(RngCheckpointTest, StdEngineTextLoadsAndContinuesWithStdWords) {
+  // Checkpoints written while Rng wrapped std::mt19937_64 hold that engine's
+  // operator<< text. Fresh (position 312), one draw rewound to position 0
+  // (twisted words not yet drawn from, reachable only through text), 311,
+  // 312 after a full pass, and past the first refill.
+  for (const std::size_t drawn : {std::size_t{0}, std::size_t{1},
+                                  std::size_t{311}, std::size_t{312},
+                                  std::size_t{313}, std::size_t{1000}}) {
+    std::mt19937_64 theirs(0xc0ffee);
+    for (std::size_t i = 0; i < drawn; ++i) theirs();
+    std::ostringstream text;
+    text << theirs;
+    std::string state = text.str();
+    if (drawn == 1) {
+      // Rewind to position 0 over the same, already twisted words.
+      state.replace(state.rfind(' ') + 1, std::string::npos, "0");
+      std::istringstream rewound(state);
+      ASSERT_TRUE(rewound >> theirs);
+    }
+    std::stringstream in("rng " + state + "\n");
+    Rng ours = load_rng(in);
+    for (int i = 0; i < 1000; ++i) {
+      ASSERT_EQ(ours.engine()(), theirs()) << drawn << " drawn, word " << i;
+    }
+  }
+}
+
+TEST(RngCheckpointTest, SavedTextLoadsIntoStdEngine) {
+  for (const std::size_t drawn : {std::size_t{0}, std::size_t{311},
+                                  std::size_t{312}, std::size_t{700}}) {
+    Rng ours(0xbeef);
+    for (std::size_t i = 0; i < drawn; ++i) ours.engine()();
+    std::stringstream buffer;
+    save_rng(buffer, ours);
+    std::string header;
+    std::mt19937_64 theirs(1);
+    ASSERT_TRUE(buffer >> header >> theirs) << drawn << " drawn";
+    for (int i = 0; i < 1000; ++i) {
+      ASSERT_EQ(ours.engine()(), theirs()) << drawn << " drawn, word " << i;
+    }
+  }
 }
 
 TEST(BatteryCheckpointTest, RoundTripRestoresStateExactly) {
