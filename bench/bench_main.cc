@@ -1,6 +1,8 @@
 #include "bench_main.h"
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -9,6 +11,7 @@
 #include <iostream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "obs/json_writer.h"
 #include "obs/manifest.h"
@@ -87,8 +90,45 @@ void write_obs_section(obs::JsonWriter& json) {
   json.end_object();
 }
 
+/// Best-of-five seconds of a fixed workload that calls no project code: a
+/// dependent walk over an L2-sized table of xorshift words, mixed into a
+/// floating-point accumulator. Two records' ratio of this figure estimates
+/// how much faster one machine is than the other without counting a change
+/// to the bench's own code as machine speed (bench_compare.py scales its
+/// wall budgets by it).
+double calibration_seconds() {
+  constexpr std::size_t kWords = std::size_t{1} << 15;  // 256 KiB
+  constexpr std::uint64_t kSteps = std::uint64_t{1} << 21;
+  std::vector<std::uint64_t> table(kWords);
+  std::uint64_t word = 0x9e3779b97f4a7c15ull;
+  for (std::uint64_t& slot : table) {
+    word ^= word << 13;
+    word ^= word >> 7;
+    word ^= word << 17;
+    slot = word;
+  }
+  double best = 0.0;
+  volatile double sink = 0.0;
+  for (int round = 0; round < 5; ++round) {
+    const auto start = std::chrono::steady_clock::now();
+    std::uint64_t h = static_cast<std::uint64_t>(round);
+    double acc = 1.0;
+    for (std::uint64_t i = 0; i < kSteps; ++i) {
+      h = (h ^ (table[h & (kWords - 1)] + i)) * 0xff51afd7ed558ccdull;
+      acc = acc * 0.999999 + static_cast<double>(h >> 11) * 0x1p-53;
+    }
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    best = round == 0 ? seconds : std::min(best, seconds);
+    sink = sink + acc;
+  }
+  return best;
+}
+
 bool write_json(const std::string& path, const BenchContext& context,
-                bool quick, double wall_seconds, bool obs_recording) {
+                bool quick, double wall_seconds, double calibration,
+                bool obs_recording) {
   std::ofstream file(path);
   if (!file) {
     std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());
@@ -111,6 +151,7 @@ bool write_json(const std::string& path, const BenchContext& context,
   json.member("cells_per_sec", wall_seconds > 0.0 ? cells / wall_seconds : 0.0);
   json.member("simulated_days", context.total_days());
   json.member("days_per_sec", wall_seconds > 0.0 ? days / wall_seconds : 0.0);
+  json.member("calibration_seconds", calibration);
   json.key("metrics");
   json.begin_object();
   for (const auto& [key, value] : context.metrics()) {
@@ -188,6 +229,9 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Timed before the body, on an idle machine state, and only when a record
+  // is written.
+  const double calibration = json ? calibration_seconds() : 0.0;
   BenchContext context(sweep_options, quick, std::move(passthrough));
   const auto start = std::chrono::steady_clock::now();
   try {
@@ -218,7 +262,8 @@ int main(int argc, char** argv) {
       quick ? " (quick mode)" : "");
 
   if (json) {
-    if (!write_json(out_path, context, quick, wall_seconds, obs_requested)) {
+    if (!write_json(out_path, context, quick, wall_seconds, calibration,
+                    obs_requested)) {
       return 1;
     }
     std::printf("[bench %s] wrote %s\n", kBenchName, out_path.c_str());

@@ -8,9 +8,12 @@ current run must provide a matching BENCH_<name>.json whose
     tolerance (the benches are deterministic, so drift means the simulation
     changed — a correctness signal, not noise), and
   * "wall_seconds" has not regressed by more than the allowed fraction
-    (default 25%). Wall time is only compared when the current machine is
-    not slower overall than the baseline machine, which is estimated from
-    the records themselves (see --wall-tolerance / --no-wall below), and
+    (default 25%) after rescaling by the machine-speed ratio. Every record
+    carries "calibration_seconds", the time bench_main takes for a fixed
+    workload that calls no project code; the ratio is the median over
+    benches of baseline / current calibration time, so a faster change to
+    the benches' own code is never mistaken for a faster machine (see
+    --wall-tolerance / --no-wall below), and
   * for benches that emit days_per_sec_per_core_t<N>_<workload> families,
     the tN/t1 per-core throughput ratio (parallel efficiency, a
     machine-relative quantity) has not dropped more than the allowed
@@ -265,6 +268,27 @@ def compare_serve(name: str, base: dict, cur: dict, p99_bound_ms: float):
     return failures, info
 
 
+def machine_speed_ratio(baselines: dict, currents: dict):
+    """How much faster the current machine is than the baseline machine:
+    the median over benches of baseline / current calibration_seconds. The
+    calibration workload calls no project code, so a code speedup leaves
+    the ratio alone. Returns (ratio, number of benches it rests on); 1.0
+    when no pair of records carries a calibration timing."""
+    ratios = []
+    for name, base in baselines.items():
+        cur = currents.get(name)
+        if cur is None:
+            continue
+        b = float(base.get("calibration_seconds", 0.0))
+        c = float(cur.get("calibration_seconds", 0.0))
+        if b > 0.0 and c > 0.0:
+            ratios.append(b / c)
+    ratios.sort()
+    if not ratios:
+        return 1.0, 0
+    return ratios[len(ratios) // 2], len(ratios)
+
+
 def load_records(directory: Path, problems: list) -> dict:
     """Loads every BENCH_*.json in `directory`; unreadable or malformed
     files become failure strings in `problems` instead of tracebacks."""
@@ -401,21 +425,7 @@ def main() -> int:
             f"this run's bench-json artifact)"
         )
 
-    # Wall-clock comparisons are meaningful only when the current machine is
-    # at least as fast as the one that produced the baselines. Estimate the
-    # machine-speed ratio from the median per-bench throughput ratio; when
-    # the current machine is slower overall, scale the budget accordingly so
-    # the gate still catches a bench that regressed relative to its peers.
-    ratios = []
-    for name, base in baselines.items():
-        cur = currents.get(name)
-        if cur is None:
-            continue
-        b, c = base.get("days_per_sec", 0.0), cur.get("days_per_sec", 0.0)
-        if b > 0.0 and c > 0.0:
-            ratios.append(c / b)
-    ratios.sort()
-    machine_speedup = ratios[len(ratios) // 2] if ratios else 1.0
+    machine_speedup, calibrated = machine_speed_ratio(baselines, currents)
 
     rows = []
     scaling_lines = []
@@ -494,7 +504,8 @@ def main() -> int:
         max(len(str(row[i])) for row in rows + [header]) for i in range(4)
     ]
     print(f"bench_compare: machine speed ratio {machine_speedup:.2f}x "
-          f"(current vs baseline)")
+          f"(current vs baseline, median calibration ratio of "
+          f"{calibrated} benches)")
     for row in [header] + rows:
         print("  ".join(str(cell).ljust(w) for cell, w in zip(row, widths)))
     if scaling_lines:

@@ -5,7 +5,9 @@ The gate is the only thing standing between a perf/correctness regression
 and a green checkmark, so its failure modes are pinned here: a bench
 without a committed baseline must fail (not silently skip), metric drift
 must respect the rtol and the timing/speedup/throughput exemptions, the
-wall budget must rescale with the measured machine-speed ratio, and the
+wall budget must rescale with the machine-speed ratio read off the
+records' calibration timings (and not with the benches' own throughput),
+and the
 parallel-efficiency, batch-throughput and serving-capacity gates must bite.
 
 Run directly (CI lint job): python3 scripts/bench_compare_test.py
@@ -21,7 +23,8 @@ from pathlib import Path
 SCRIPT = Path(__file__).resolve().parent / "bench_compare.py"
 
 
-def record(name, wall=1.0, days_per_sec=1000.0, metrics=None):
+def record(name, wall=1.0, days_per_sec=1000.0, metrics=None,
+           calibration=0.01):
     """A minimal valid BENCH record."""
     return {
         "bench": name,
@@ -31,6 +34,7 @@ def record(name, wall=1.0, days_per_sec=1000.0, metrics=None):
         "cells_per_sec": 10.0,
         "simulated_days": 100,
         "days_per_sec": days_per_sec,
+        "calibration_seconds": calibration,
         "metrics": metrics or {},
     }
 
@@ -152,14 +156,16 @@ class MetricDriftTest(GateHarness):
 
 class WallBudgetTest(GateHarness):
     def seed_peers(self, ratio):
-        """Three well-behaved benches that pin the machine-speed ratio."""
+        """Three well-behaved benches on a machine `ratio` times as fast as
+        the baseline machine (calibration time divided by `ratio`)."""
         for name in ("peer1", "peer2", "peer3"):
             self.write(
                 self.baseline_dir, record(name, wall=1.0, days_per_sec=1000.0)
             )
             self.write(
                 self.current_dir,
-                record(name, wall=1.0 / ratio, days_per_sec=1000.0 * ratio),
+                record(name, wall=1.0 / ratio, days_per_sec=1000.0 * ratio,
+                       calibration=0.01 / ratio),
             )
 
     def test_budget_rescales_on_slower_machine(self):
@@ -170,7 +176,8 @@ class WallBudgetTest(GateHarness):
             self.baseline_dir, record("alpha", wall=1.0, days_per_sec=1000.0)
         )
         self.write(
-            self.current_dir, record("alpha", wall=2.0, days_per_sec=500.0)
+            self.current_dir,
+            record("alpha", wall=2.0, days_per_sec=500.0, calibration=0.02),
         )
         code, out = self.run_gate("--wall-tolerance", "0.25")
         self.assertEqual(code, 0, out)
@@ -184,11 +191,59 @@ class WallBudgetTest(GateHarness):
             self.baseline_dir, record("alpha", wall=1.0, days_per_sec=1000.0)
         )
         self.write(
-            self.current_dir, record("alpha", wall=2.6, days_per_sec=500.0)
+            self.current_dir,
+            record("alpha", wall=2.6, days_per_sec=500.0, calibration=0.02),
         )
         code, out = self.run_gate("--wall-tolerance", "0.25")
         self.assertNotEqual(code, 0)
         self.assertIn("wall_seconds regressed", out)
+
+    def test_code_speedup_is_not_machine_speed(self):
+        # The peers' own code got 1.4x faster on an unchanged machine (equal
+        # calibration). The ratio stays 1.00x, so a bench whose wall does
+        # not fall with throughput keeps its full budget.
+        for name in ("peer1", "peer2", "peer3"):
+            self.write(
+                self.baseline_dir, record(name, wall=1.0, days_per_sec=1000.0)
+            )
+            self.write(
+                self.current_dir,
+                record(name, wall=1.0 / 1.4, days_per_sec=1400.0),
+            )
+        self.write(
+            self.baseline_dir, record("micro", wall=1.0, days_per_sec=0.0)
+        )
+        self.write(
+            self.current_dir, record("micro", wall=1.1, days_per_sec=0.0)
+        )
+        code, out = self.run_gate("--wall-tolerance", "0.25")
+        self.assertEqual(code, 0, out)
+        self.assertIn("machine speed ratio 1.00x", out)
+
+    def test_slower_calibration_scales_budgets_without_throughput(self):
+        # A 2x slower calibration doubles every budget even when no record
+        # reports a throughput (days_per_sec 0), and a bench beyond its
+        # doubled budget still fails.
+        for name in ("peer1", "peer2", "peer3"):
+            self.write(
+                self.baseline_dir, record(name, wall=1.0, days_per_sec=0.0)
+            )
+            self.write(
+                self.current_dir,
+                record(name, wall=2.0, days_per_sec=0.0, calibration=0.02),
+            )
+        self.write(
+            self.baseline_dir, record("slow", wall=1.0, days_per_sec=0.0)
+        )
+        self.write(
+            self.current_dir,
+            record("slow", wall=2.6, days_per_sec=0.0, calibration=0.02),
+        )
+        code, out = self.run_gate("--wall-tolerance", "0.25")
+        self.assertNotEqual(code, 0)
+        self.assertIn("machine speed ratio 0.50x", out)
+        self.assertIn("slow: wall_seconds regressed", out)
+        self.assertNotIn("peer1: wall_seconds regressed", out)
 
     def test_no_wall_skips_the_budget(self):
         self.seed_peers(0.5)

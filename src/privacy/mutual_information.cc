@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <numbers>
 
 #include "util/error.h"
@@ -17,38 +18,6 @@ struct EntropyEstimate {
   std::size_t occupied = 0;
 };
 
-EntropyEstimate entropy_bits(const std::uint32_t* counts, std::size_t cells,
-                             double total) {
-  EntropyEstimate out;
-  if (total <= 0.0) return out;
-  for (std::size_t i = 0; i < cells; ++i) {
-    const std::uint32_t c = counts[i];
-    if (c == 0) continue;
-    ++out.occupied;
-    const double p = static_cast<double>(c) / total;
-    out.bits -= p * std::log2(p);
-  }
-  return out;
-}
-
-/// Entropy over the occupied cells named by `cells` (ascending, unique) of
-/// `counts`. Visits the same nonzero counts in the same order as a dense
-/// scan that skips zeros, so the accumulated sum is bitwise identical.
-EntropyEstimate entropy_bits_sparse(const std::uint32_t* counts,
-                                    const std::vector<std::uint32_t>& cells,
-                                    double total) {
-  EntropyEstimate out;
-  if (total <= 0.0) return out;
-  for (const std::uint32_t cell : cells) {
-    const std::uint32_t c = counts[cell];
-    if (c == 0) continue;
-    ++out.occupied;
-    const double p = static_cast<double>(c) / total;
-    out.bits -= p * std::log2(p);
-  }
-  return out;
-}
-
 /// Miller-Madow first-order bias correction: the plug-in estimator
 /// under-estimates entropy by ~ (K - 1) / (2 N ln 2) bits for K occupied
 /// cells and N samples.
@@ -58,19 +27,59 @@ double miller_madow(const EntropyEstimate& e, double samples) {
                       (2.0 * samples * std::numbers::ln2);
 }
 
+/// The X-pair cell of a sorted (X-pair << 16) | Y-pair key.
+std::uint32_t x_cell(std::uint32_t key) { return key >> 16; }
+
 }  // namespace
+
+/// Per-query scratch: the entropy terms of every count (computed once per
+/// query) and one interval's keys, sorted to visit cells in ascending order.
+struct PairwiseMiEstimator::Query {
+  /// Precomputes p = c / days and log2(p) for every count c in 1..days.
+  explicit Query(std::size_t days)
+      : p(days + 1, 0.0), log2p(days + 1, 0.0), keys(days), ys(days) {
+    const auto total = static_cast<double>(days);
+    for (std::size_t c = 1; c <= days; ++c) {
+      p[c] = static_cast<double>(c) / total;
+      log2p[c] = std::log2(p[c]);
+    }
+  }
+
+  /// Entropy of the histogram a sorted key sequence describes: each run of
+  /// equal cell(key) is one occupied cell, so cells are visited in
+  /// ascending order and each term is the dense scan's p * log2(p).
+  template <typename Key, typename Cell>
+  EntropyEstimate entropy(const std::vector<Key>& sorted, Cell cell) const {
+    EntropyEstimate out;
+    std::size_t i = 0;
+    while (i < sorted.size()) {
+      const auto current = cell(sorted[i]);
+      std::size_t j = i + 1;
+      while (j < sorted.size() && cell(sorted[j]) == current) ++j;
+      ++out.occupied;
+      out.bits -= p[j - i] * log2p[j - i];
+      i = j;
+    }
+    return out;
+  }
+
+  std::vector<double> p;
+  std::vector<double> log2p;
+  /// Per day (X-pair code << 16) | Y-pair code: ascending keys are the
+  /// joint cells (X-pair major) in the dense table's cell order.
+  std::vector<std::uint32_t> keys;
+  /// Per day the Y-pair code, sorted.
+  std::vector<std::uint16_t> ys;
+};
 
 PairwiseMiEstimator::PairwiseMiEstimator(std::size_t intervals,
                                          std::size_t levels, double x_cap,
                                          double y_cap)
-    : intervals_(intervals), levels_(levels), pair_cells_(levels * levels),
-      joint_cells_(pair_cells_ * pair_cells_), qx_(levels, 0.0, x_cap),
+    : intervals_(intervals), levels_(levels), qx_(levels, 0.0, x_cap),
       qy_(levels, 0.0, y_cap) {
   RLBLH_REQUIRE(intervals >= 2, "PairwiseMiEstimator: need >= 2 intervals");
   RLBLH_REQUIRE(levels >= 2, "PairwiseMiEstimator: need >= 2 levels");
-  x_counts_.assign((intervals - 1) * pair_cells_, 0);
-  joint_counts_.assign((intervals - 1) * joint_cells_, 0);
-  joint_touched_.resize(intervals - 1);
+  RLBLH_REQUIRE(levels <= 256, "PairwiseMiEstimator: need <= 256 levels");
 }
 
 void PairwiseMiEstimator::observe_day(ConstTraceLane usage,
@@ -78,57 +87,55 @@ void PairwiseMiEstimator::observe_day(ConstTraceLane usage,
   RLBLH_REQUIRE(usage.intervals() == intervals_ &&
                     readings.intervals() == intervals_,
                 "PairwiseMiEstimator: day length mismatch");
-  for (std::size_t n = 0; n + 1 < intervals_; ++n) {
-    const std::size_t xi = pair_index(qx_.index(usage[n]),
-                                      qx_.index(usage[n + 1]));
-    const std::size_t yi = pair_index(qy_.index(readings[n]),
-                                      qy_.index(readings[n + 1]));
-    ++x_counts_[n * pair_cells_ + xi];
-    const std::size_t cell = xi * pair_cells_ + yi;
-    std::uint32_t& joint = joint_counts_[n * joint_cells_ + cell];
-    if (joint == 0) {
-      joint_touched_[n].push_back(static_cast<std::uint32_t>(cell));
-    }
-    ++joint;
+  for (std::size_t n = 0; n < intervals_; ++n) {
+    RLBLH_REQUIRE(!std::isnan(usage[n]) && !std::isnan(readings[n]),
+                  "PairwiseMiEstimator: NaN in an observed day");
+  }
+  const std::size_t pairs = intervals_ - 1;
+  const std::size_t row = days_ * pairs;
+  x_codes_.resize(row + pairs);
+  y_codes_.resize(row + pairs);
+  std::uint16_t* const x_row = x_codes_.data() + row;
+  std::uint16_t* const y_row = y_codes_.data() + row;
+  std::size_t xi = qx_.index(usage[0]);
+  std::size_t yi = qy_.index(readings[0]);
+  for (std::size_t n = 0; n < pairs; ++n) {
+    const std::size_t x_next = qx_.index(usage[n + 1]);
+    const std::size_t y_next = qy_.index(readings[n + 1]);
+    x_row[n] = static_cast<std::uint16_t>(xi * levels_ + x_next);
+    y_row[n] = static_cast<std::uint16_t>(yi * levels_ + y_next);
+    xi = x_next;
+    yi = y_next;
   }
   ++days_;
 }
 
 void PairwiseMiEstimator::reset() {
-  std::fill(x_counts_.begin(), x_counts_.end(), 0);
-  for (std::size_t n = 0; n + 1 < intervals_; ++n) {
-    std::uint32_t* const joint_row = joint_counts_.data() + n * joint_cells_;
-    for (const std::uint32_t cell : joint_touched_[n]) {
-      joint_row[cell] = 0;
-    }
-    joint_touched_[n].clear();
-  }
+  x_codes_.clear();
+  y_codes_.clear();
   days_ = 0;
 }
 
-double PairwiseMiEstimator::normalized_mi_at(std::size_t n) const {
-  RLBLH_REQUIRE(n + 1 < intervals_,
-                "PairwiseMiEstimator: interval out of range");
-  if (days_ == 0) return 0.0;
-  const auto total = static_cast<double>(days_);
-  const EntropyEstimate ex =
-      entropy_bits(x_counts_.data() + n * pair_cells_, pair_cells_, total);
-  if (ex.bits <= 0.0) return 0.0;  // deterministic usage pair: nothing leaks
-  const std::uint32_t* const joint_row = joint_counts_.data() + n * joint_cells_;
-  // The first-touch list is exactly the occupied joint set; sorting makes
-  // the sparse entropy walk visit cells in the dense scan's ascending order
-  // (idempotent, so re-sorting after later observe_day calls is fine).
-  std::vector<std::uint32_t>& touched = joint_touched_[n];
-  std::sort(touched.begin(), touched.end());
-  // Marginalize the joint over the X-pair to get Y-pair counts (integer
-  // additions, so visiting only occupied cells changes nothing).
-  std::vector<std::uint32_t> y_counts(pair_cells_, 0);
-  for (const std::uint32_t cell : touched) {
-    y_counts[cell % pair_cells_] += joint_row[cell];
+void PairwiseMiEstimator::sort_keys(std::size_t n, Query& query) const {
+  const std::size_t pairs = intervals_ - 1;
+  for (std::size_t d = 0; d < days_; ++d) {
+    query.keys[d] = (std::uint32_t{x_codes_[d * pairs + n]} << 16) |
+                    std::uint32_t{y_codes_[d * pairs + n]};
   }
-  const EntropyEstimate ey =
-      entropy_bits(y_counts.data(), pair_cells_, total);
-  const EntropyEstimate exy = entropy_bits_sparse(joint_row, touched, total);
+  std::sort(query.keys.begin(), query.keys.end());
+}
+
+double PairwiseMiEstimator::interval_mi(std::size_t n, Query& query) const {
+  sort_keys(n, query);
+  const EntropyEstimate ex = query.entropy(query.keys, x_cell);
+  if (ex.bits <= 0.0) return 0.0;  // deterministic usage pair: nothing leaks
+  const EntropyEstimate exy = query.entropy(query.keys, std::identity{});
+  for (std::size_t d = 0; d < days_; ++d) {
+    query.ys[d] = static_cast<std::uint16_t>(query.keys[d]);
+  }
+  std::sort(query.ys.begin(), query.ys.end());
+  const EntropyEstimate ey = query.entropy(query.ys, std::identity{});
+  const auto total = static_cast<double>(days_);
   double hx = ex.bits;
   double h_x_given_y = exy.bits - ey.bits;
   if (bias_correction_) {
@@ -145,11 +152,20 @@ double PairwiseMiEstimator::normalized_mi_at(std::size_t n) const {
   return std::clamp(mi, 0.0, 1.0);
 }
 
+double PairwiseMiEstimator::normalized_mi_at(std::size_t n) const {
+  RLBLH_REQUIRE(n + 1 < intervals_,
+                "PairwiseMiEstimator: interval out of range");
+  if (days_ == 0) return 0.0;
+  Query query(days_);
+  return interval_mi(n, query);
+}
+
 double PairwiseMiEstimator::normalized_mi() const {
   if (days_ == 0) return 0.0;
+  Query query(days_);
   double sum = 0.0;
   for (std::size_t n = 0; n + 1 < intervals_; ++n) {
-    sum += normalized_mi_at(n);
+    sum += interval_mi(n, query);
   }
   return sum / static_cast<double>(intervals_ - 1);
 }
@@ -157,9 +173,9 @@ double PairwiseMiEstimator::normalized_mi() const {
 double PairwiseMiEstimator::usage_entropy_at(std::size_t n) const {
   RLBLH_REQUIRE(n + 1 < intervals_,
                 "PairwiseMiEstimator: interval out of range");
-  return entropy_bits(x_counts_.data() + n * pair_cells_, pair_cells_,
-                      static_cast<double>(days_))
-      .bits;
+  Query query(days_);
+  sort_keys(n, query);
+  return query.entropy(query.keys, x_cell).bits;
 }
 
 }  // namespace rlblh

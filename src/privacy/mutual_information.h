@@ -12,16 +12,15 @@
 // deterministic, so there is nothing to leak — contribute 0 and are
 // documented as such.
 //
-// Storage is sized for reuse: both count tables are single flat allocations
-// (interval-major), and every joint cell that becomes nonzero is remembered
-// in a per-interval first-touch list. reset() therefore zeroes only the
-// cells an evaluation actually touched (days x intervals writes, not the
-// levels^4 x intervals table), and the entropy evaluation walks exactly the
-// occupied joint cells in ascending index order — the same nonzero-cell
-// sequence a dense scan visits, so every floating-point sum is bitwise
-// identical to the dense implementation this replaces. Fleet workers lean
-// on both properties to amortize one estimator across thousands of
-// households.
+// Storage is one row of pair codes per observed day: for every interval n
+// the quantized X-pair code and Y-pair code, each below levels^2. Memory is
+// O(days x intervals) and independent of the levels^4 joint alphabet. A
+// query rebuilds interval n's X, Y and joint histograms from its days'
+// codes by sorting them, so every entropy sum visits the occupied cells in
+// ascending cell index — the same nonzero counts, in the same order, that
+// a scan of dense count tables visits — and each p * log2(p) term is the
+// same double (it depends only on the count and the day total). Every
+// returned bit therefore equals the dense-table estimator's.
 #pragma once
 
 #include <cstddef>
@@ -34,18 +33,21 @@
 namespace rlblh {
 
 /// Streaming estimator of the paper's normalized MI metric. Observes paired
-/// (usage, reading) days, accumulating per-interval joint histograms of the
-/// quantized pairs; normalized_mi() then evaluates Eq. 20.
+/// (usage, reading) days, recording each interval's quantized pairs;
+/// normalized_mi() then evaluates Eq. 20.
 class PairwiseMiEstimator {
  public:
-  /// `intervals` slots per day (>= 2); `levels` quantization levels (>= 2)
-  /// applied to both streams; values live in [0, x_cap] / [0, y_cap].
+  /// `intervals` slots per day (>= 2); `levels` quantization levels
+  /// (2..256) applied to both streams; values live in [0, x_cap] /
+  /// [0, y_cap].
   PairwiseMiEstimator(std::size_t intervals, std::size_t levels, double x_cap,
                       double y_cap);
 
   /// Folds in one evaluation day of usage x and meter readings y (read-only
   /// lane views; a DayTrace converts implicitly, a strided batch lane is
-  /// consumed without a copy).
+  /// consumed without a copy). Throws ConfigError on a length mismatch or
+  /// a NaN in either stream, leaving the estimator unchanged. Values
+  /// outside the caps (±inf included) clamp to the end levels.
   void observe_day(ConstTraceLane usage, ConstTraceLane readings);
 
   /// Number of days observed.
@@ -68,33 +70,29 @@ class PairwiseMiEstimator {
   void set_bias_correction(bool enabled) { bias_correction_ = enabled; }
 
   /// Returns the estimator to its freshly-constructed state (same geometry
-  /// and caps) without releasing its buffers: touched joint cells are
-  /// zeroed via the first-touch lists, so the cost scales with the days
-  /// observed, not with the levels^4 table size.
+  /// and caps), keeping the code rows' capacity.
   void reset();
 
  private:
-  /// Flat index of a quantized pair (i, j), each in [0, levels).
-  std::size_t pair_index(std::size_t i, std::size_t j) const {
-    return i * levels_ + j;
-  }
+  /// Per-query scratch: the p and log2(p) of every count 1..days and one
+  /// interval's sorted keys.
+  struct Query;
+
+  /// Fills query.keys with interval n's per-day keys, ascending.
+  void sort_keys(std::size_t n, Query& query) const;
+  double interval_mi(std::size_t n, Query& query) const;
 
   std::size_t intervals_;
   std::size_t levels_;
-  std::size_t pair_cells_;   ///< levels^2, one X-pair (or Y-pair) alphabet
-  std::size_t joint_cells_;  ///< levels^4, the (X-pair, Y-pair) alphabet
   Quantizer qx_;
   Quantizer qy_;
   std::size_t days_ = 0;
   bool bias_correction_ = true;
-  // Interval-major flat tables: interval n's X-pair counts live at
-  // [n * pair_cells_, (n+1) * pair_cells_), its joint counts at
-  // [n * joint_cells_, (n+1) * joint_cells_).
-  std::vector<std::uint32_t> x_counts_;
-  std::vector<std::uint32_t> joint_counts_;
-  // Per interval: joint cells that went 0 -> nonzero, in touch order
-  // (exactly the occupied set; sorted on demand by the entropy walk).
-  mutable std::vector<std::vector<std::uint32_t>> joint_touched_;
+  // Day-major pair codes: day d's X-pair code for interval n is
+  // x_codes_[d * (intervals_ - 1) + n] (likewise y_codes_), each
+  // i * levels + j for the quantized values i, j of slots n and n + 1.
+  std::vector<std::uint16_t> x_codes_;
+  std::vector<std::uint16_t> y_codes_;
 };
 
 }  // namespace rlblh

@@ -10,22 +10,13 @@ namespace rlblh {
 EvaluationAccumulator::EvaluationAccumulator(std::size_t intervals,
                                              std::size_t mi_levels,
                                              double usage_cap)
-    : intervals_(intervals), mi_levels_(mi_levels), usage_cap_(usage_cap),
-      mi_(intervals, mi_levels, usage_cap, usage_cap) {}
+    : mi_(intervals, mi_levels, usage_cap, usage_cap) {}
 
 void EvaluationAccumulator::reset(std::size_t intervals, std::size_t mi_levels,
                                   double usage_cap) {
   sr_.reset();
   cc_.reset();
-  if (intervals == intervals_ && mi_levels == mi_levels_ &&
-      usage_cap == usage_cap_) {
-    mi_.reset();
-  } else {
-    intervals_ = intervals;
-    mi_levels_ = mi_levels;
-    usage_cap_ = usage_cap;
-    mi_ = PairwiseMiEstimator(intervals, mi_levels, usage_cap, usage_cap);
-  }
+  mi_ = PairwiseMiEstimator(intervals, mi_levels, usage_cap, usage_cap);
   bill_cents_total_ = 0.0;
   usage_cost_cents_total_ = 0.0;
   battery_violations_ = 0;

@@ -71,18 +71,14 @@ class EvaluationAccumulator {
   /// Metrics over the observed days. Requires days() >= 1.
   EvaluationResult result() const;
 
-  /// Returns the accumulator to a fresh state for the given geometry. When
-  /// (intervals, mi_levels, usage_cap) match the current geometry the MI
-  /// estimator's buffers are reused (sparse zeroing, no reallocation);
-  /// otherwise it is rebuilt. Either way the post-state is indistinguishable
-  /// from a freshly constructed accumulator — fleet workers rely on that to
-  /// recycle one accumulator across thousands of households.
+  /// Returns the accumulator to a fresh state for the given geometry (the
+  /// MI estimator is rebuilt, which costs O(1)): the post-state is
+  /// indistinguishable from a freshly constructed accumulator — fleet
+  /// workers rely on that to recycle one accumulator across thousands of
+  /// households.
   void reset(std::size_t intervals, std::size_t mi_levels, double usage_cap);
 
  private:
-  std::size_t intervals_;
-  std::size_t mi_levels_;
-  double usage_cap_;
   SavingRatioAccumulator sr_;
   CorrelationAccumulator cc_;
   PairwiseMiEstimator mi_;

@@ -9,11 +9,11 @@
 //
 // Chunked execution exists because per-household fixed cost used to drown
 // the day loop at fleet scale: each cell leases a RunArena whose SimEngine
-// day buffers and EvaluationAccumulator (with its levels^4 MI tables) are
-// reused across the chunk's households, and the seed-independent parts of
-// each distinct spec — the resolved household preset and the policy
-// parameter bag (ScenarioBlueprint), plus the price schedule — are resolved
-// once before the fan-out and shared read-only by every cell.
+// day buffers and EvaluationAccumulator are reused across the chunk's
+// households, and the seed-independent parts of each distinct spec — the
+// resolved household preset and the policy parameter bag
+// (ScenarioBlueprint), plus the price schedule — are resolved once before
+// the fan-out and shared read-only by every cell.
 //
 // Determinism contract (same as SweepRunner's, extended to chunking):
 // results are bitwise identical across thread counts AND chunk sizes. Each
@@ -50,10 +50,8 @@ struct FleetOptions {
   /// Lockstep batch width W: within a chunk, households sharing a blueprint
   /// are grouped into batches of exactly W and run through the SoA
   /// BatchEngine; the remainder (and any width <= 1) takes the scalar
-  /// engine. Bitwise invisible — every width produces identical results —
-  /// but not free in memory: each lane holds its own EvaluationAccumulator
-  /// (~24 MB of MI tables at default geometry), so a W-lane arena costs
-  /// ~W x 24 MB per worker. Defaults to 0 (scalar) for that reason.
+  /// engine. Bitwise invisible — every width produces identical results;
+  /// each lane holds its own EvaluationAccumulator. Defaults to 0 (scalar).
   std::size_t batch_width = 0;
 };
 

@@ -153,20 +153,18 @@ std::unique_ptr<TraceSource> make_blueprint_source(const ScenarioSpec& spec,
 
 /// Reusable per-worker scratch for repeated run_spec/run_blueprint calls:
 /// the SimEngine (whose day buffers persist across households) and the
-/// EvaluationAccumulator (whose MI tables are sparse-reset between
-/// households). One arena serves one worker thread; runs borrow it
-/// sequentially. Every buffer handed out is either fully overwritten per
-/// day (engine scratch) or reset to fresh-constructed state per run
-/// (accumulator), so reuse cannot leak state between households — the
-/// chunking-invariance proptests pin this.
+/// EvaluationAccumulator (reset between households). One arena serves one
+/// worker thread; runs borrow it sequentially. Every buffer handed out is
+/// either fully overwritten per day (engine scratch) or reset to
+/// fresh-constructed state per run (accumulator), so reuse cannot leak
+/// state between households — the chunking-invariance proptests pin this.
 class RunArena {
  public:
   /// The arena's engine. Day buffers are reused across calls; SimEngine's
   /// contract is that every slot is rewritten each day.
   SimEngine& engine() { return engine_; }
 
-  /// An accumulator reset for the given geometry: fresh state, buffers
-  /// reused when the geometry matches the previous run's.
+  /// An accumulator reset for the given geometry: fresh state.
   EvaluationAccumulator& accumulator(std::size_t intervals,
                                      std::size_t mi_levels, double usage_cap);
 
@@ -178,10 +176,8 @@ class RunArena {
   BatteryLanes& battery_lanes() { return battery_lanes_; }
 
   /// Lane `lane`'s accumulator, reset for the given geometry. A batched run
-  /// holds one accumulator per lane live at once — at default geometry
-  /// (1440 intervals, 8 MI levels) each carries ~24 MB of MI tables, so a
-  /// W-lane arena costs ~W x 24 MB; that is the memory price of batching
-  /// and why FleetOptions::batch_width defaults to scalar.
+  /// holds one accumulator per lane live at once; each stores its MI pair
+  /// codes, ~5.6 KB per evaluation day at 1440 intervals.
   EvaluationAccumulator& lane_accumulator(std::size_t lane,
                                           std::size_t intervals,
                                           std::size_t mi_levels,

@@ -1,6 +1,9 @@
 #include "privacy/mutual_information.h"
 
 #include <algorithm>
+#include <limits>
+#include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -19,6 +22,7 @@ DayTrace random_day(std::size_t n, double cap, Rng& rng) {
 TEST(PairwiseMi, RejectsBadConstruction) {
   EXPECT_THROW(PairwiseMiEstimator(1, 8, 1.0, 1.0), ConfigError);
   EXPECT_THROW(PairwiseMiEstimator(10, 1, 1.0, 1.0), ConfigError);
+  EXPECT_THROW(PairwiseMiEstimator(10, 257, 1.0, 1.0), ConfigError);
 }
 
 TEST(PairwiseMi, EmptyEstimatorReportsZero) {
@@ -29,6 +33,42 @@ TEST(PairwiseMi, EmptyEstimatorReportsZero) {
 TEST(PairwiseMi, RejectsMismatchedDays) {
   PairwiseMiEstimator mi(10, 4, 1.0, 1.0);
   EXPECT_THROW(mi.observe_day(DayTrace(5), DayTrace(10)), ConfigError);
+}
+
+// A lane built from a span or a raw pointer is not validated, so a NaN can
+// reach observe_day; it must be rejected before any of the day is recorded.
+TEST(PairwiseMi, RejectsNanWithoutRecordingTheDay) {
+  Rng rng(31);
+  PairwiseMiEstimator mi(12, 4, 1.0, 1.0);
+  PairwiseMiEstimator clean(12, 4, 1.0, 1.0);
+  for (int d = 0; d < 5; ++d) {
+    const DayTrace x = random_day(12, 1.0, rng);
+    const DayTrace y = random_day(12, 1.0, rng);
+    mi.observe_day(x, y);
+    clean.observe_day(x, y);
+  }
+  const double before = mi.normalized_mi();
+
+  const DayTrace ok = random_day(12, 1.0, rng);
+  std::vector<double> usage(ok.values().begin(), ok.values().end());
+  usage[7] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(mi.observe_day(std::span<const double>(usage), ok),
+               ConfigError);
+  EXPECT_EQ(mi.days(), 5u);
+  EXPECT_EQ(mi.normalized_mi(), before);
+
+  // Readings through a strided raw-pointer lane, NaN in the last slot.
+  std::vector<double> block(24, 0.5);
+  block[23] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(mi.observe_day(ok, ConstTraceLane(block.data() + 1, 2, 12)),
+               ConfigError);
+  EXPECT_EQ(mi.days(), 5u);
+  EXPECT_EQ(mi.normalized_mi(), before);
+
+  // The rejected days left no trace: the next day lands as it would have.
+  mi.observe_day(ok, ok);
+  clean.observe_day(ok, ok);
+  EXPECT_EQ(mi.normalized_mi(), clean.normalized_mi());
 }
 
 TEST(PairwiseMi, IdenticalStreamsLeakEverything) {
@@ -147,10 +187,8 @@ TEST(PairwiseMi, BiasCorrectionReducesIndependentStreamLeakage) {
 }
 
 TEST(PairwiseMiEstimator, ResetMatchesFreshConstruction) {
-  // The sparse reset (zero only touched joint cells) must be semantically
-  // complete: after reset, re-observing a stream yields bitwise the same
-  // estimate a freshly constructed estimator produces — the property the
-  // fleet's arena-recycled accumulators stand on.
+  // After reset, re-observing a stream yields bitwise the same estimate a
+  // freshly constructed estimator produces.
   PairwiseMiEstimator recycled(30, 8, 1.0, 1.0);
   Rng warmup(21);
   for (int d = 0; d < 25; ++d) {

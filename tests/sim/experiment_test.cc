@@ -114,7 +114,7 @@ TEST(Experiment, AccumulatorResetMatchesFreshConstruction) {
   EvaluationAccumulator recycled(kIntervalsPerDay, 8,
                                  sim.source().usage_cap());
   observe_all(recycled);
-  // Same geometry: the MI tables are sparsely zeroed, not reallocated.
+  // Same geometry again.
   recycled.reset(kIntervalsPerDay, 8, sim.source().usage_cap());
   EXPECT_EQ(recycled.days(), 0u);
   const EvaluationResult same_geometry = observe_all(recycled);
