@@ -19,16 +19,6 @@ current run must provide a matching BENCH_<name>.json whose
     machine-relative quantity) has not dropped more than the allowed
     fraction below the baseline's ratio (see --scaling-tolerance /
     --no-scaling below), and
-  * for benches that emit batch_days_per_sec_w<W> records, the W=8 figure
-    is at least --batch-speedup times the baseline's overall scalar
-    days_per_sec, rescaled by the machine-speed ratio (see --no-batch), and
-  * when the current record also carries an in-run scalar anchor
-    (batch_scalar_days_per_sec: the identical replay workload through the
-    scalar engine, measured in the same run), the W=8 figure is at least
-    --batch-anchor-speedup times that anchor. Both numbers come from one
-    process on one machine, so no machine rescaling applies — this is the
-    sharp "is batching worth it" gate; the baseline-relative gate above is
-    the coarse cross-machine one, and
   * for the serving bench, the daemon must sustain at least the committed
     baseline's count of concurrently-open connections, with its ping p99
     inside --serve-p99-bound-ms (see --no-serve). The sweep ramps to a
@@ -72,8 +62,8 @@ from pathlib import Path
 # by the machine-ratio-scaled budget in main().
 TIMING_METRIC = re.compile(r"(^|_)(ns|us|ms|sec|seconds)(_|$)")
 
-# Speedup metrics (batch_speedup_w8) are ratios of two timings from the
-# same run: machine-relative but still noisy between runs, so they are
+# Speedup metrics (<workload>_speedup_<variant>) are ratios of two timings
+# from the same run: machine-relative but still noisy between runs, so they are
 # exempt from the strict drift check like the raw timings they divide.
 SPEEDUP_METRIC = re.compile(r"(^|_)speedup(_|$)")
 
@@ -82,12 +72,6 @@ SPEEDUP_METRIC = re.compile(r"(^|_)speedup(_|$)")
 # they are exempt from the strict drift check and covered by the wall
 # budget. (days_per_sec families are already exempt via the "sec" token.)
 THROUGHPUT_METRIC = re.compile(r"(^|_)per_(sec|core)(_|$)")
-
-# Lockstep-batch throughput records emitted by micro_engine
-# (batch_days_per_sec_w8). The W=8 figure is gated against the committed
-# scalar baseline: the batch engine must keep a multiple of the scalar
-# per-day rate or the SoA path has stopped paying for itself.
-BATCH_METRIC = re.compile(r"^batch_days_per_sec_w(\d+)$")
 
 # Per-core throughput metrics emitted by the scaling benches
 # (days_per_sec_per_core_t8_h10000). Absolute values move with the machine,
@@ -162,71 +146,6 @@ def compare_scaling(name: str, base: dict, cur: dict, tolerance: float):
                     f"t{threads}/t1 per-core scale {cur_scale:.2f} vs "
                     f"baseline {base_scale:.2f} (floor {floor:.2f}, "
                     f"tolerance {tolerance:.0%})"
-                )
-    return failures, info
-
-
-def compare_batch(name: str, base: dict, cur: dict, min_speedup: float,
-                  machine_speedup: float, min_anchor_speedup: float):
-    """Gates lockstep-batch throughput two ways. Cross-machine: the current
-    batch_days_per_sec_w8 must be at least `min_speedup` times the committed
-    baseline's overall scalar day-loop rate (the scalar_days_per_sec metric;
-    the record-level days_per_sec is the fallback for old records), rescaled
-    to this machine's speed. In-run: when the current record carries a
-    batch_scalar_days_per_sec anchor (the same replay workload through the
-    scalar engine, same run, same machine), the W=8 figure must be at least
-    `min_anchor_speedup` times that anchor — no rescaling, because both
-    numbers share the run. Other widths are reported but not gated. Returns
-    (failures, info_lines)."""
-    failures, info = [], []
-    scalar = float(
-        base.get("metrics", {}).get(
-            "scalar_days_per_sec", base.get("days_per_sec", 0.0)
-        )
-    )
-    anchor = float(cur.get("metrics", {}).get("batch_scalar_days_per_sec", 0.0))
-    if (scalar <= 0.0 or machine_speedup <= 0.0) and anchor <= 0.0:
-        return failures, info
-    for key in sorted(cur.get("metrics", {})):
-        match = BATCH_METRIC.match(key)
-        if not match:
-            continue
-        width = int(match.group(1))
-        batch = float(cur["metrics"][key])
-        gated = width == 8
-        if scalar > 0.0 and machine_speedup > 0.0:
-            floor = min_speedup * scalar * machine_speedup
-            ratio = batch / (scalar * machine_speedup)
-            status = "ok" if batch >= floor else ("FAIL" if gated else "info")
-            info.append(
-                f"{name} W={width}: batch {batch:.0f} days/s = {ratio:.2f}x "
-                f"the scalar baseline ({scalar:.0f} x machine "
-                f"{machine_speedup:.2f}x; floor {min_speedup:.1f}x) {status}"
-            )
-            if gated and batch < floor:
-                failures.append(
-                    f"{name}: batch throughput below floor: '{key}' = "
-                    f"{batch:.0f} days/s, need >= {min_speedup:.1f}x the "
-                    f"baseline scalar rate ({floor:.0f} days/s on this "
-                    f"machine)"
-                )
-        if anchor > 0.0:
-            anchor_ratio = batch / anchor
-            anchor_ok = anchor_ratio >= min_anchor_speedup
-            status = "ok" if anchor_ok else ("FAIL" if gated else "info")
-            info.append(
-                f"{name} W={width}: batch {batch:.0f} days/s = "
-                f"{anchor_ratio:.2f}x the in-run scalar anchor "
-                f"({anchor:.0f} days/s; floor {min_anchor_speedup:.1f}x) "
-                f"{status}"
-            )
-            if gated and not anchor_ok:
-                failures.append(
-                    f"{name}: batch throughput below the in-run anchor "
-                    f"floor: '{key}' = {batch:.0f} days/s is only "
-                    f"{anchor_ratio:.2f}x the same-run scalar rate "
-                    f"({anchor:.0f} days/s), need >= "
-                    f"{min_anchor_speedup:.1f}x"
                 )
     return failures, info
 
@@ -375,25 +294,6 @@ def main() -> int:
         help="skip the parallel-efficiency comparison",
     )
     parser.add_argument(
-        "--batch-speedup",
-        type=float,
-        default=2.0,
-        help="required batch_days_per_sec_w8 multiple of the baseline's "
-        "scalar days_per_sec, machine-ratio scaled (default 2.0)",
-    )
-    parser.add_argument(
-        "--batch-anchor-speedup",
-        type=float,
-        default=1.2,
-        help="required batch_days_per_sec_w8 multiple of the same run's "
-        "batch_scalar_days_per_sec anchor, unscaled (default 1.2)",
-    )
-    parser.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="skip the lockstep-batch throughput comparison",
-    )
-    parser.add_argument(
         "--serve-p99-bound-ms",
         type=float,
         default=250.0,
@@ -429,7 +329,6 @@ def main() -> int:
 
     rows = []
     scaling_lines = []
-    batch_lines = []
     serve_lines = []
     for name in unbaselined:
         rows.append((name, "NO BASELINE", "-", "-"))
@@ -447,13 +346,6 @@ def main() -> int:
             )
             failures.extend(scaling_failures)
             scaling_lines.extend(info)
-        if not args.no_batch:
-            batch_failures, info = compare_batch(
-                name, base, cur, args.batch_speedup, machine_speedup,
-                args.batch_anchor_speedup
-            )
-            failures.extend(batch_failures)
-            batch_lines.extend(info)
         if not args.no_serve:
             serve_failures, info = compare_serve(
                 name, base, cur, args.serve_p99_bound_ms
@@ -484,15 +376,12 @@ def main() -> int:
         scaling_ok = not any(f.startswith(f"{name}: parallel efficiency") or
                              f.startswith(f"{name}: scaling ratio")
                              for f in failures)
-        batch_ok = not any(f.startswith(f"{name}: batch throughput")
-                           for f in failures)
         serve_ok = not any(f.startswith(f"{name}: serve")
                            for f in failures)
         rows.append(
             (
                 name,
-                "ok" if (wall_ok and metrics_ok and scaling_ok and batch_ok
-                         and serve_ok)
+                "ok" if (wall_ok and metrics_ok and scaling_ok and serve_ok)
                 else "FAIL",
                 f"{base_wall:.3f}s -> {cur_wall:.3f}s",
                 "ok" if metrics_ok else "drift",
@@ -511,10 +400,6 @@ def main() -> int:
     if scaling_lines:
         print("\nparallel efficiency (tN/t1 per-core throughput ratios):")
         for line in scaling_lines:
-            print(f"  {line}")
-    if batch_lines:
-        print("\nlockstep-batch throughput (vs scalar baseline):")
-        for line in batch_lines:
             print(f"  {line}")
     if serve_lines:
         print("\nserving-path capacity (vs committed baseline):")
@@ -540,15 +425,6 @@ def main() -> int:
                     f"tolerance {args.scaling_tolerance:.0%})\n\n"
                 )
                 for line in scaling_lines:
-                    summary.write(f"- {line}\n")
-            if batch_lines:
-                summary.write(
-                    "\n**Lockstep-batch throughput** (W=8 gated at "
-                    f"{args.batch_speedup:.1f}x the scalar baseline and "
-                    f"{args.batch_anchor_speedup:.1f}x the in-run scalar "
-                    "anchor)\n\n"
-                )
-                for line in batch_lines:
                     summary.write(f"- {line}\n")
             if serve_lines:
                 summary.write(

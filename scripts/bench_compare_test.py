@@ -7,8 +7,7 @@ without a committed baseline must fail (not silently skip), metric drift
 must respect the rtol and the timing/speedup/throughput exemptions, the
 wall budget must rescale with the machine-speed ratio read off the
 records' calibration timings (and not with the benches' own throughput),
-and the
-parallel-efficiency, batch-throughput and serving-capacity gates must bite.
+and the parallel-efficiency and serving-capacity gates must bite.
 
 Run directly (CI lint job): python3 scripts/bench_compare_test.py
 """
@@ -314,98 +313,6 @@ class ScalingGateTest(GateHarness):
         code, out = self.run_gate("--no-wall")
         self.assertNotEqual(code, 0)
         self.assertIn("parallel efficiency regressed", out)
-
-
-class BatchGateTest(GateHarness):
-    def test_batch_below_speedup_floor_fails(self):
-        self.write(
-            self.baseline_dir,
-            record(
-                "engine",
-                metrics={
-                    "scalar_days_per_sec": 1000.0,
-                    "batch_days_per_sec_w8": 2500.0,
-                },
-            ),
-        )
-        self.write(
-            self.current_dir,
-            record(
-                "engine",
-                metrics={
-                    "scalar_days_per_sec": 1000.0,
-                    "batch_days_per_sec_w8": 1500.0,
-                },
-            ),
-        )
-        code, out = self.run_gate("--no-wall", "--batch-speedup", "2.0")
-        self.assertNotEqual(code, 0)
-        self.assertIn("batch throughput below floor", out)
-
-    def test_batch_above_floor_passes(self):
-        self.write(
-            self.baseline_dir,
-            record(
-                "engine",
-                metrics={
-                    "scalar_days_per_sec": 1000.0,
-                    "batch_days_per_sec_w8": 2500.0,
-                },
-            ),
-        )
-        self.write(
-            self.current_dir,
-            record(
-                "engine",
-                metrics={
-                    "scalar_days_per_sec": 1000.0,
-                    "batch_days_per_sec_w8": 2500.0,
-                },
-            ),
-        )
-        code, out = self.run_gate("--no-wall", "--batch-speedup", "2.0")
-        self.assertEqual(code, 0, out)
-
-    def test_batch_below_in_run_anchor_fails(self):
-        # The cross-machine floor passes (2.5x the committed scalar rate),
-        # but the same-run anchor says batching is slower than scalar.
-        rec_base = record(
-            "engine",
-            metrics={
-                "scalar_days_per_sec": 1000.0,
-                "batch_days_per_sec_w8": 2500.0,
-            },
-        )
-        rec_cur = record(
-            "engine",
-            metrics={
-                "scalar_days_per_sec": 1000.0,
-                "batch_scalar_days_per_sec": 3000.0,
-                "batch_days_per_sec_w8": 2500.0,
-            },
-        )
-        self.write(self.baseline_dir, rec_base)
-        self.write(self.current_dir, rec_cur)
-        code, out = self.run_gate("--no-wall", "--batch-speedup", "2.0",
-                                  "--batch-anchor-speedup", "1.2")
-        self.assertNotEqual(code, 0)
-        self.assertIn("in-run anchor floor", out)
-
-    def test_batch_above_in_run_anchor_passes(self):
-        rec = record(
-            "engine",
-            metrics={
-                "scalar_days_per_sec": 1000.0,
-                "batch_scalar_days_per_sec": 2000.0,
-                "batch_days_per_sec_w8": 2500.0,
-            },
-        )
-        self.write(self.baseline_dir, rec)
-        self.write(self.current_dir, rec)
-        code, out = self.run_gate("--no-wall", "--batch-speedup", "2.0",
-                                  "--batch-anchor-speedup", "1.2")
-        self.assertEqual(code, 0, out)
-        self.assertIn("in-run scalar anchor", out)
 
 
 class ServeGateTest(GateHarness):

@@ -248,104 +248,24 @@ void RlBlhPolicy::observe_block(std::size_t n0, ConstTraceLane usage) {
   // S_k(a) accumulation (paper Eq. 7): the same expression and the same
   // per-interval += order as observe_usage(), with the loop-invariant rate
   // lookup and pulse magnitude hoisted (identical values, identical FP op
-  // sequence, so the accumulated sum is bitwise equal). The view may be a
-  // strided lane of the batch engine's interval-major day — only the load
-  // addresses differ from the contiguous case.
+  // sequence, so the accumulated sum is bitwise equal).
   const double magnitude = config_.action_magnitude(pending_action_);
   const double* const rates = prices_->rates().data();
-  const double* const values = usage.data();
-  const std::size_t stride = usage.stride();
   // The whole block is validated before any of it is recorded, so a
   // rejected block leaves the day as if it had not been offered.
   for (std::size_t i = 0; i < usage.size(); ++i) {
-    const double x = values[i * stride];
+    const double x = usage[i];
     RLBLH_REQUIRE(std::isfinite(x) && x >= 0.0,
                   "RlBlhPolicy: usage must be finite and >= 0");
   }
   double pending = pending_savings_;
   for (std::size_t i = 0; i < usage.size(); ++i) {
-    const double x = values[i * stride];
+    const double x = usage[i];
     today_usage_.push_back(x);
     pending += rates[n0 + i] * (x - magnitude);
   }
   pending_savings_ = pending;
   next_observe_n_ = n0 + usage.size();
-}
-
-void RlBlhPolicy::fill_lanes(std::span<BlhPolicy* const> lanes,
-                             std::size_t n0, std::size_t width,
-                             const double* levels, double* y_out) {
-  const std::size_t w = lanes.size();
-  lane_rngs_.resize(w);
-  lane_eps_.resize(w);
-  lane_coins_.resize(w);
-  lane_allowed_.resize(w);
-  lane_greedy_.resize(w);
-
-  // Phase 1, per lane: the pre-coin half of fill_block — validation, the
-  // pending decision's finalize (its bernoulli under double-Q drawn from
-  // the lane's own engine, in its scalar stream position) and the greedy
-  // argmax. The features are evaluated once and stored directly as the
-  // pending features (a pure function of (k, level); the scalar path
-  // computes the identical array twice).
-  for (std::size_t k = 0; k < w; ++k) {
-    auto& lane = static_cast<RlBlhPolicy&>(*lanes[k]);
-    const double battery_level = levels[k];
-    RLBLH_REQUIRE(lane.day_open_,
-                  "RlBlhPolicy: fill_lanes() before begin_day()");
-    RLBLH_REQUIRE(n0 == lane.next_reading_n_ && n0 == lane.next_observe_n_,
-                  "RlBlhPolicy: blocks must be requested in interval order");
-    RLBLH_REQUIRE(n0 % lane.config_.decision_interval == 0,
-                  "RlBlhPolicy: block must start on a decision boundary");
-    const std::size_t kk = n0 / lane.config_.decision_interval;
-    RLBLH_REQUIRE(width == lane.config_.decision_width(kk),
-                  "RlBlhPolicy: block width must match the decision width");
-    if (n0 == 0) lane.initial_level_today_ = battery_level;
-    const double alpha_now = lane.current_alpha();
-    if (lane.pending_active_) {
-      lane.finalize_pending(kk, battery_level, /*terminal=*/false, alpha_now);
-    }
-    lane_eps_[k] = lane.exploration_ ? lane.current_epsilon() : 0.0;
-    const auto& allowed = lane.allowed_actions(battery_level);
-    const auto features = lane.basis_.at(kk, battery_level);
-    lane_allowed_[k] = &allowed;
-    lane_greedy_[k] = lane.acting_argmax(features, allowed);
-    lane.pending_features_ = features;
-    lane.pending_k_ = kk;
-    lane_rngs_[k] = &lane.rng_;
-  }
-
-  // Phase 2: every lane's epsilon coin in one lane-batched pass.
-  fill_uniform_lanes(lane_rngs_, lane_coins_);
-
-  // Phase 3, per lane: resolve epsilon-greedy (exploring lanes draw their
-  // index from their own engine, right after their coin — the scalar
-  // order) and publish the pending decision.
-  for (std::size_t k = 0; k < w; ++k) {
-    auto& lane = static_cast<RlBlhPolicy&>(*lanes[k]);
-    const std::vector<std::size_t>& allowed = *lane_allowed_[k];
-    std::size_t chosen = lane_greedy_[k];
-    if (lane_coins_[k] < lane_eps_[k]) {
-      const auto i = static_cast<std::size_t>(
-          lane.rng_.uniform_int(0, static_cast<int>(allowed.size() - 1)));
-      chosen = allowed[i];
-    }
-    lane.pending_explored_ = chosen != lane_greedy_[k];
-    lane.pending_active_ = true;
-    lane.pending_action_ = chosen;
-    lane.pending_savings_ = 0.0;
-    lane.next_reading_n_ = n0 + width;
-    y_out[k] = lane.config_.action_magnitude(chosen);
-  }
-}
-
-void RlBlhPolicy::observe_lanes(std::span<BlhPolicy* const> lanes,
-                                std::size_t n0, const LaneBlock& usage) {
-  // One virtual call for the block; the per-lane observes devirtualize
-  // (RlBlhPolicy is final) and read their strided lane views in place.
-  for (std::size_t k = 0; k < lanes.size(); ++k) {
-    static_cast<RlBlhPolicy&>(*lanes[k]).observe_block(n0, usage.lane(k));
-  }
 }
 
 void RlBlhPolicy::end_day() {
@@ -386,10 +306,8 @@ void RlBlhPolicy::end_day() {
 
   // Per-interval statistics feed the SYN heuristic. The buffer was already
   // validated interval by interval as it was observed, so a view suffices —
-  // no day-sized copy on the batch hot path.
-  stats_.observe_day(ConstTraceLane(today_usage_.data(), 1,
-                                    today_usage_.size()),
-                     rng_);
+  // no day-sized copy.
+  stats_.observe_day(today_usage_, rng_);
 
   ++day_;
   if (learning_) ++episodes_;

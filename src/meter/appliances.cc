@@ -56,11 +56,11 @@ std::size_t jitter_time(std::size_t nominal, double sigma, Rng& rng,
 }  // namespace
 
 void Appliance::emit_run(std::size_t start, std::size_t duration, double power,
-                         TraceLane trace, double cap,
+                         std::span<double> trace, double cap,
                          std::vector<ApplianceEvent>* events) const {
-  if (duration == 0 || start >= trace.intervals()) return;
-  const std::size_t end = std::min(start + duration, trace.intervals());
-  trace.add_clamped_run(start, end, power, cap);
+  if (duration == 0 || start >= trace.size()) return;
+  const std::size_t end = std::min(start + duration, trace.size());
+  add_clamped_run(trace, start, end, power, cap);
   if (events != nullptr) {
     events->push_back({name(), start, end - start, power});
   }
@@ -73,7 +73,7 @@ Refrigerator::Refrigerator(double power, std::size_t on, std::size_t off)
 }
 
 void Refrigerator::generate(const Occupancy& /*occ*/, Rng& rng,
-                            TraceLane trace, double cap,
+                            std::span<double> trace, double cap,
                             std::vector<ApplianceEvent>* events) const {
   // Random initial phase so day boundaries do not align cycles.
   std::size_t n = static_cast<std::size_t>(
@@ -87,7 +87,7 @@ void Refrigerator::generate(const Occupancy& /*occ*/, Rng& rng,
   } else {
     n = (on_ + off_) - n;  // remaining off time
   }
-  while (n < trace.intervals()) {
+  while (n < trace.size()) {
     const std::size_t run = jitter_len(on_, 0.25, rng);
     const std::size_t idle = jitter_len(off_, 0.25, rng);
     emit_run(n, run, power_, trace, cap, events);
@@ -108,11 +108,11 @@ Hvac::Hvac(double power, double base_duty, double peak_duty,
                 "Hvac: setback factor must be in [0,1]");
 }
 
-void Hvac::generate(const Occupancy& occ, Rng& rng, TraceLane trace,
+void Hvac::generate(const Occupancy& occ, Rng& rng, std::span<double> trace,
                     double cap, std::vector<ApplianceEvent>* events) const {
   // Thermostat cycling: choose a cycle period, set the on-fraction from the
   // diurnal duty curve at the cycle start.
-  const std::size_t day = trace.intervals();
+  const std::size_t day = trace.size();
   if (diurnal_ == nullptr || diurnal_->size() != day) {
     diurnal_ = hvac_diurnal_curve(day);
   }
@@ -134,10 +134,10 @@ WaterHeater::WaterHeater(double power) : Appliance("water_heater"), power_(power
   RLBLH_REQUIRE(power > 0.0, "WaterHeater: power must be > 0");
 }
 
-void WaterHeater::generate(const Occupancy& occ, Rng& rng, TraceLane trace,
-                           double cap,
+void WaterHeater::generate(const Occupancy& occ, Rng& rng,
+                           std::span<double> trace, double cap,
                            std::vector<ApplianceEvent>* events) const {
-  const std::size_t day = trace.intervals();
+  const std::size_t day = trace.size();
   if (!occ.away_all_day) {
     // Morning shower recovery shortly after wake.
     const std::size_t morning =
@@ -164,9 +164,8 @@ Lighting::Lighting(double power, std::size_t dawn, std::size_t dusk)
   RLBLH_REQUIRE(dawn < dusk, "Lighting: dawn must precede dusk");
 }
 
-void Lighting::generate(const Occupancy& occ, Rng& rng, TraceLane trace,
-                        double cap,
-                        std::vector<ApplianceEvent>* events) const {
+void Lighting::generate(const Occupancy& occ, Rng& rng, std::span<double> trace,
+                        double cap, std::vector<ApplianceEvent>* events) const {
   // Continuous low load whenever occupants are active in dark hours, with
   // per-interval dimming noise; recorded as runs for NALM ground truth.
   //
@@ -176,7 +175,7 @@ void Lighting::generate(const Occupancy& occ, Rng& rng, TraceLane trace,
   // batch per run. Draws still happen for exactly the lit intervals in
   // interval order, so the RNG stream (and every value) matches the scan
   // this replaces.
-  const std::size_t day = trace.intervals();
+  const std::size_t day = trace.size();
   // Active occupancy = [wake, sleep) intersected with the home set (the
   // whole day, or [0, leave) plus [back, day) on work days).
   std::array<std::pair<std::size_t, std::size_t>, 2> active{};
@@ -208,19 +207,17 @@ void Lighting::generate(const Occupancy& occ, Rng& rng, TraceLane trace,
     const std::size_t evening_start = std::max(a, dusk_);
     if (evening_start < b) lit[runs++] = {evening_start, b};
   }
-  double* const values = trace.data();
-  const std::size_t stride = trace.stride();
   for (std::size_t i = 0; i < runs; ++i) {
     const std::size_t start = lit[i].first;
     const std::size_t len = lit[i].second - start;
     draws_.resize(len);
     rng.fill_uniform(0.7, 1.3, std::span<double>(draws_.data(), len));
     // Same per-interval arithmetic as add_clamped(); writes stay finite and
-    // >= 0 as the lane contract requires.
+    // >= 0 as DayTrace's invariant requires.
     for (std::size_t j = 0; j < len; ++j) {
-      double next = values[(start + j) * stride] + power_ * draws_[j];
+      double next = trace[start + j] + power_ * draws_[j];
       if (cap > 0.0) next = std::min(next, cap);
-      values[(start + j) * stride] = next;
+      trace[start + j] = next;
     }
     if (events != nullptr) {
       events->push_back({name(), start, len, power_});
@@ -232,11 +229,10 @@ Cooking::Cooking(double power) : Appliance("cooking"), power_(power) {
   RLBLH_REQUIRE(power > 0.0, "Cooking: power must be > 0");
 }
 
-void Cooking::generate(const Occupancy& occ, Rng& rng, TraceLane trace,
-                       double cap,
-                       std::vector<ApplianceEvent>* events) const {
+void Cooking::generate(const Occupancy& occ, Rng& rng, std::span<double> trace,
+                       double cap, std::vector<ApplianceEvent>* events) const {
   if (occ.away_all_day) return;
-  const std::size_t day = trace.intervals();
+  const std::size_t day = trace.size();
   // Breakfast: short burst after wake.
   if (rng.bernoulli(0.8)) {
     const std::size_t start = jitter_time(occ.wake + 35, 12.0, rng, day);
@@ -259,13 +255,13 @@ Dishwasher::Dishwasher(double power, double daily_probability)
                 "Dishwasher: probability must be in [0,1]");
 }
 
-void Dishwasher::generate(const Occupancy& occ, Rng& rng, TraceLane trace,
-                          double cap,
+void Dishwasher::generate(const Occupancy& occ, Rng& rng,
+                          std::span<double> trace, double cap,
                           std::vector<ApplianceEvent>* events) const {
   if (occ.away_all_day || !rng.bernoulli(prob_)) return;
   const std::size_t dinner_base = occ.works_away ? occ.back + 120 : 1200;
   const std::size_t start =
-      jitter_time(dinner_base, 30.0, rng, trace.intervals());
+      jitter_time(dinner_base, 30.0, rng, trace.size());
   emit_run(start, jitter_len(55, 0.2, rng), power_, trace, cap, events);
 }
 
@@ -279,15 +275,14 @@ Laundry::Laundry(double washer_power, double dryer_power,
                 "Laundry: probability must be in [0,1]");
 }
 
-void Laundry::generate(const Occupancy& occ, Rng& rng, TraceLane trace,
-                       double cap,
-                       std::vector<ApplianceEvent>* events) const {
+void Laundry::generate(const Occupancy& occ, Rng& rng, std::span<double> trace,
+                       double cap, std::vector<ApplianceEvent>* events) const {
   if (occ.away_all_day || !rng.bernoulli(prob_)) return;
   // Run while someone is home and awake: mornings on stay-home days,
   // evenings on work days.
   const std::size_t base = occ.works_away ? occ.back + 30 : occ.wake + 120;
   const std::size_t washer_start =
-      jitter_time(base, 40.0, rng, trace.intervals());
+      jitter_time(base, 40.0, rng, trace.size());
   const std::size_t washer_len = jitter_len(38, 0.2, rng);
   emit_run(washer_start, washer_len, washer_power_, trace, cap, events);
   const std::size_t dryer_start =
@@ -303,13 +298,13 @@ EvCharger::EvCharger(double power, double daily_probability)
                 "EvCharger: probability must be in [0,1]");
 }
 
-void EvCharger::generate(const Occupancy& occ, Rng& rng, TraceLane trace,
-                         double cap,
+void EvCharger::generate(const Occupancy& occ, Rng& rng,
+                         std::span<double> trace, double cap,
                          std::vector<ApplianceEvent>* events) const {
   // The car is only home to charge if someone came home.
   if (occ.away_all_day || !rng.bernoulli(prob_)) return;
   // Timer starts the session shortly after midnight, squarely off-peak.
-  const std::size_t start = jitter_time(30, 40.0, rng, trace.intervals());
+  const std::size_t start = jitter_time(30, 40.0, rng, trace.size());
   emit_run(start, jitter_len(65, 0.15, rng), power_, trace, cap, events);
 }
 
@@ -321,16 +316,16 @@ Electronics::Electronics(double standby_power, double active_power)
                 "Electronics: active power must be >= standby");
 }
 
-void Electronics::generate(const Occupancy& occ, Rng& rng, TraceLane trace,
-                           double cap,
+void Electronics::generate(const Occupancy& occ, Rng& rng,
+                           std::span<double> trace, double cap,
                            std::vector<ApplianceEvent>* events) const {
   // Standby floor across the whole day (not an "event" — no edge signature).
-  trace.add_clamped_run(0, trace.intervals(), standby_power_, cap);
+  add_clamped_run(trace, 0, trace.size(), standby_power_, cap);
   // Evening entertainment block while active.
   if (occ.away_all_day) return;
   const std::size_t evening_base = occ.works_away ? occ.back + 15 : 1080;
   const std::size_t start =
-      jitter_time(evening_base, 20.0, rng, trace.intervals());
+      jitter_time(evening_base, 20.0, rng, trace.size());
   const std::size_t len = jitter_len(150, 0.3, rng);
   emit_run(start, len, active_power_ - standby_power_, trace, cap, events);
 }

@@ -9,40 +9,15 @@
 
 namespace rlblh {
 
-TraceLane::TraceLane(DayTrace& trace)
-    : data_(trace.mutable_data()), stride_(1), intervals_(trace.intervals()) {}
-
-ConstTraceLane::ConstTraceLane(const DayTrace& trace)
-    : data_(trace.values().data()), stride_(1),
-      intervals_(trace.intervals()) {}
-
-void TraceLane::fill_zero() const {
-  if (stride_ == 1) {
-    std::fill(data_, data_ + intervals_, 0.0);
-    return;
-  }
-  for (std::size_t n = 0; n < intervals_; ++n) data_[n * stride_] = 0.0;
-}
-
-void TraceLane::add_clamped_run(std::size_t start, std::size_t end,
-                                double value, double cap) const {
-  RLBLH_REQUIRE(start <= end && end <= intervals_,
-                "TraceLane: run out of range");
-  RLBLH_REQUIRE(value >= 0.0, "TraceLane: added value must be >= 0");
-  if (stride_ == 1) {
-    // Contiguous fast path: same per-interval math, unit-stride addressing
-    // (the scalar engine's synthesis stays as fast as before the lanes).
-    for (std::size_t n = start; n < end; ++n) {
-      double next = data_[n] + value;
-      if (cap > 0.0) next = std::min(next, cap);
-      data_[n] = next;
-    }
-    return;
-  }
+void add_clamped_run(std::span<double> day, std::size_t start, std::size_t end,
+                     double value, double cap) {
+  RLBLH_REQUIRE(start <= end && end <= day.size(),
+                "add_clamped_run: run out of range");
+  RLBLH_REQUIRE(value >= 0.0, "add_clamped_run: added value must be >= 0");
   for (std::size_t n = start; n < end; ++n) {
-    double next = data_[n * stride_] + value;
+    double next = day[n] + value;
     if (cap > 0.0) next = std::min(next, cap);
-    data_[n * stride_] = next;
+    day[n] = next;
   }
 }
 
@@ -78,12 +53,6 @@ void DayTrace::add_clamped(std::size_t n, double value, double cap) {
   values_[n] = next;
 }
 
-void DayTrace::add_clamped_run(std::size_t start, std::size_t end,
-                               double value, double cap) {
-  // One implementation for the scalar and lane paths (see TraceLane).
-  TraceLane(*this).add_clamped_run(start, end, value, cap);
-}
-
 void DayTrace::assign_zero(std::size_t intervals) {
   RLBLH_REQUIRE(intervals >= 1, "DayTrace: need at least one interval");
   values_.assign(intervals, 0.0);
@@ -99,23 +68,6 @@ double DayTrace::peak() const {
 
 double DayTrace::mean() const {
   return total() / static_cast<double>(values_.size());
-}
-
-void TraceSource::next_day_into_lane(TraceLane out) {
-  const DayTrace day = next_day();
-  RLBLH_REQUIRE(day.intervals() == out.intervals(),
-                "TraceSource: lane length must match the day length");
-  const double* values = day.values().data();
-  for (std::size_t n = 0; n < out.intervals(); ++n) out[n] = values[n];
-}
-
-void TraceSource::next_days_into_lanes(std::span<TraceSource* const> sources,
-                                       double* data, std::size_t intervals) {
-  const std::size_t width = sources.size();
-  RLBLH_REQUIRE(width >= 1, "TraceSource: need at least one lane");
-  for (std::size_t k = 0; k < width; ++k) {
-    sources[k]->next_day_into_lane(TraceLane(data + k, width, intervals));
-  }
 }
 
 CsvTraceSource::CsvTraceSource(const std::string& path,

@@ -23,118 +23,17 @@ inline constexpr std::size_t kIntervalsPerDay = 1440;
 /// The paper's per-interval usage bound x_M in kWh.
 inline constexpr double kDefaultUsageCap = 0.08;
 
-class DayTrace;
+/// A read-only view of one day's series: the parameter type of every
+/// consumer (observe_block, the usage statistics, the privacy metrics). A
+/// DayTrace or a std::vector<double> converts implicitly.
+using ConstTraceLane = std::span<const double>;
 
-/// A strided, non-owning view of one day's series inside a larger buffer:
-/// interval n lives at data[n * stride]. The batch engine lays W households
-/// out as structure-of-arrays lanes; a TraceLane is how one household's
-/// generators write into its lane without knowing the layout. A DayTrace
-/// converts implicitly to a stride-1 lane over its own buffer, so every
-/// writer (appliance processes, household models, trace sources) has a
-/// single code path for the scalar and the batched case — which is also
-/// what makes lane k of a batch bit-identical to a scalar run: same code,
-/// same expressions, only the destination addresses differ.
-///
-/// Writers take over DayTrace's invariant: every value written must be
-/// finite and >= 0.
-class TraceLane {
- public:
-  /// Views `intervals` slots at data[0], data[stride], ... Requires a
-  /// non-null base, stride >= 1 and intervals >= 1. Defined inline: the
-  /// scalar engine builds one view per decision block, so the validation
-  /// must fold into the caller rather than cost a call per block.
-  TraceLane(double* data, std::size_t stride, std::size_t intervals)
-      : data_(data), stride_(stride), intervals_(intervals) {
-    RLBLH_REQUIRE(data != nullptr, "TraceLane: base pointer must be non-null");
-    RLBLH_REQUIRE(stride >= 1, "TraceLane: stride must be >= 1");
-    RLBLH_REQUIRE(intervals >= 1, "TraceLane: need at least one interval");
-  }
-
-  /// Stride-1 view over a whole DayTrace (implicit: lets existing DayTrace
-  /// call sites reach the lane-based generator APIs unchanged).
-  TraceLane(DayTrace& trace);  // NOLINT(google-explicit-constructor)
-
-  /// Number of measurement intervals viewed.
-  std::size_t intervals() const { return intervals_; }
-
-  /// Distance in doubles between consecutive intervals.
-  std::size_t stride() const { return stride_; }
-
-  /// Base pointer (interval n is data()[n * stride()]).
-  double* data() const { return data_; }
-
-  /// Value slot for interval n. Requires n < intervals().
-  double& operator[](std::size_t n) const { return data_[n * stride_]; }
-
-  /// Zeroes every viewed slot.
-  void fill_zero() const;
-
-  /// Adds a constant `value` (>= 0) to every interval of [start, end),
-  /// clamping each sum at `cap` when cap > 0. Bitwise the same per-interval
-  /// arithmetic as DayTrace::add_clamped_run (which forwards here).
-  /// Requires start <= end <= intervals().
-  void add_clamped_run(std::size_t start, std::size_t end, double value,
-                       double cap) const;
-
- private:
-  double* data_;
-  std::size_t stride_;
-  std::size_t intervals_;
-};
-
-/// Read-only counterpart of TraceLane: a strided const view of one day's
-/// series inside a larger buffer (interval n lives at data[n * stride]).
-/// This is how consumers — observe_block, the usage statistics, the privacy
-/// metrics — read one lane of the batch engine's interval-major SoA day
-/// without a per-lane copy. A DayTrace, a TraceLane or a contiguous span
-/// converts implicitly to a stride-1 view, so scalar call sites keep their
-/// single code path (and the strided and contiguous reads share every
-/// expression, which is what keeps batch lanes bitwise scalar-equal).
-class ConstTraceLane {
- public:
-  /// Views `intervals` slots at data[0], data[stride], ... Requires a
-  /// non-null base, stride >= 1 and intervals >= 1. Inline for the same
-  /// reason as TraceLane: one view is built per observe block on the
-  /// scalar hot path.
-  ConstTraceLane(const double* data, std::size_t stride,
-                 std::size_t intervals)
-      : data_(data), stride_(stride), intervals_(intervals) {}
-
-  /// Stride-1 view over a whole DayTrace.
-  ConstTraceLane(const DayTrace& trace);  // NOLINT(google-explicit-constructor)
-
-  /// Stride-1 view over a contiguous span (nonempty).
-  ConstTraceLane(std::span<const double> values)  // NOLINT
-      : data_(values.data()), stride_(1), intervals_(values.size()) {
-    RLBLH_REQUIRE(!values.empty(),
-                  "ConstTraceLane: need at least one interval");
-  }
-
-  /// Read view of a mutable lane.
-  ConstTraceLane(TraceLane lane)  // NOLINT(google-explicit-constructor)
-      : data_(lane.data()), stride_(lane.stride()),
-        intervals_(lane.intervals()) {}
-
-  /// Number of measurement intervals viewed.
-  std::size_t intervals() const { return intervals_; }
-
-  /// Alias for intervals(); keeps span-shaped call sites readable.
-  std::size_t size() const { return intervals_; }
-
-  /// Distance in doubles between consecutive intervals.
-  std::size_t stride() const { return stride_; }
-
-  /// Base pointer (interval n is data()[n * stride()]).
-  const double* data() const { return data_; }
-
-  /// Value at interval n. Requires n < intervals().
-  double operator[](std::size_t n) const { return data_[n * stride_]; }
-
- private:
-  const double* data_;
-  std::size_t stride_;
-  std::size_t intervals_;
-};
+/// Adds a constant `value` (>= 0) to every interval of [start, end) of
+/// `day`, clamping each sum at `cap` when cap > 0 — the appliance
+/// generators' run writer, with DayTrace::add_clamped's per-interval math
+/// validated once for the whole run. Requires start <= end <= day.size().
+void add_clamped_run(std::span<double> day, std::size_t start, std::size_t end,
+                     double value, double cap);
 
 /// One day of per-interval energy values (usage or meter readings), in kWh.
 class DayTrace {
@@ -158,13 +57,6 @@ class DayTrace {
   /// cap > 0. Used by appliance composition under the x_M bound.
   void add_clamped(std::size_t n, double value, double cap);
 
-  /// Adds a constant `value` (>= 0) to every interval of [start, end),
-  /// clamping each sum at `cap` when cap > 0. Identical per-interval math
-  /// to add_clamped, validated once for the whole run. Requires
-  /// start <= end <= intervals().
-  void add_clamped_run(std::size_t start, std::size_t end, double value,
-                       double cap);
-
   /// Resizes to `intervals` slots (>= 1) and zeroes every value, reusing
   /// the existing buffer when the length already matches. The in-place
   /// counterpart of constructing a fresh all-zero trace.
@@ -182,11 +74,20 @@ class DayTrace {
   /// Read-only access to the raw series.
   const std::vector<double>& values() const { return values_; }
 
-  /// Raw mutable access for trusted hot-path writers (the engine's reading
-  /// fill, batched generators). Callers take over the class invariant:
-  /// every value written must be finite and >= 0 — the checked set() path
-  /// enforces the same contract one interval at a time.
+  /// Raw mutable access for trusted hot-path writers (the engines' day
+  /// buffers). Callers take over the class invariant: every value written
+  /// must be finite and >= 0 — the checked set() path enforces the same
+  /// contract one interval at a time.
   double* mutable_data() { return values_.data(); }
+
+  /// The series as a mutable view, for trusted writers under the same
+  /// contract (implicit, so a DayTrace passes wherever an appliance
+  /// generator takes a day).
+  operator std::span<double>() { return values_; }  // NOLINT
+
+  /// The series as a read-only view (implicit, so a DayTrace passes
+  /// wherever a ConstTraceLane is taken).
+  operator ConstTraceLane() const { return values_; }  // NOLINT
 
  private:
   std::vector<double> values_;
@@ -205,29 +106,6 @@ class TraceSource {
   /// identical to `out = next_day()`; sources able to generate in place
   /// override this.
   virtual void next_day_into(DayTrace& out) { out = next_day(); }
-
-  /// Produces the next day's profile into a strided lane (the batch
-  /// engine's SoA path). `out.intervals()` must equal intervals(). Draws
-  /// and values are identical to next_day(); only the destination layout
-  /// differs. The default materializes a DayTrace and copies — replay
-  /// sources rarely run batched — while the synthetic household source
-  /// overrides it to generate straight into the lane, allocation-free.
-  virtual void next_day_into_lane(TraceLane out);
-
-  /// Lane-native batch synthesis: produces the next day of every source in
-  /// `sources` (index-aligned lanes, W = sources.size()) into one
-  /// interval-major block — lane k's interval n lives at data[n * W + k],
-  /// and every lane spans `intervals` slots. The batch engine calls this
-  /// once per day on sources[0] after verifying all lanes share lane 0's
-  /// dynamic type, so native overrides may static_cast the peers to their
-  /// own concrete type. The default loops lanes through
-  /// next_day_into_lane — same draws, same values, same per-lane store
-  /// order — so overriding is purely a memory-access optimization: a
-  /// lane-at-a-time pass over a W-wide day touches every cache line of the
-  /// block once per lane, while a native override can tile the interval
-  /// dimension and touch each line once.
-  virtual void next_days_into_lanes(std::span<TraceSource* const> sources,
-                                    double* data, std::size_t intervals);
 
   /// Number of intervals per produced day.
   virtual std::size_t intervals() const = 0;

@@ -22,7 +22,7 @@ UsageStatsTracker::UsageStatsTracker(std::size_t intervals, double usage_cap,
 }
 
 void UsageStatsTracker::observe_day(ConstTraceLane day, Rng& rng) {
-  RLBLH_REQUIRE(day.intervals() == dists_.size(),
+  RLBLH_REQUIRE(day.size() == dists_.size(),
                 "UsageStatsTracker: day length mismatch");
   for (std::size_t n = 0; n < dists_.size(); ++n) {
     dists_[n].add(day[n], rng);

@@ -27,7 +27,7 @@ class UsageStatsTracker {
                     std::size_t bins = 24, std::size_t reservoir = 48);
 
   /// Folds one observed day into the per-interval distributions. Accepts
-  /// any read-only lane view (a DayTrace converts implicitly), so the RL
+  /// any read-only day view (a DayTrace converts implicitly), so the RL
   /// observe path can feed its day buffer without a validating copy.
   void observe_day(ConstTraceLane day, Rng& rng);
 

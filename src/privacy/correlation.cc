@@ -7,7 +7,7 @@
 namespace rlblh {
 
 double pearson_correlation(ConstTraceLane x, ConstTraceLane y) {
-  RLBLH_REQUIRE(x.size() == y.size(),
+  RLBLH_REQUIRE(x.size() == y.size() && !x.empty(),
                 "pearson_correlation: series must be nonempty and equal length");
   const auto n = static_cast<double>(x.size());
   double sx = 0.0, sy = 0.0;
@@ -27,14 +27,6 @@ double pearson_correlation(ConstTraceLane x, ConstTraceLane y) {
   }
   if (sxx <= 0.0 || syy <= 0.0) return 0.0;
   return sxy / std::sqrt(sxx * syy);
-}
-
-double pearson_correlation(const std::vector<double>& x,
-                           const std::vector<double>& y) {
-  RLBLH_REQUIRE(x.size() == y.size() && !x.empty(),
-                "pearson_correlation: series must be nonempty and equal length");
-  return pearson_correlation(ConstTraceLane(x.data(), 1, x.size()),
-                             ConstTraceLane(y.data(), 1, y.size()));
 }
 
 void CorrelationAccumulator::observe_day(ConstTraceLane usage,

@@ -8,23 +8,17 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "meter/trace.h"
 #include "util/running_stats.h"
 
 namespace rlblh {
 
-/// Pearson correlation coefficient of two equal-length series (read-only
-/// lane views; a DayTrace converts implicitly and a strided batch lane is
-/// consumed without a copy). Returns 0 when either series is constant
-/// (zero variance), matching the convention that a flat series carries no
-/// linear relationship.
+/// Pearson correlation coefficient of two nonempty equal-length series (a
+/// DayTrace or a std::vector<double> converts implicitly). Returns 0 when
+/// either series is constant (zero variance), matching the convention that
+/// a flat series carries no linear relationship.
 double pearson_correlation(ConstTraceLane x, ConstTraceLane y);
-
-/// Convenience overload on plain vectors (throws on empty input).
-double pearson_correlation(const std::vector<double>& x,
-                           const std::vector<double>& y);
 
 /// Accumulates the per-day CC over an evaluation run and reports its mean,
 /// the statistic plotted in the paper's Figures 5a, 8b and 9b.

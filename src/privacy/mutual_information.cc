@@ -84,8 +84,7 @@ PairwiseMiEstimator::PairwiseMiEstimator(std::size_t intervals,
 
 void PairwiseMiEstimator::observe_day(ConstTraceLane usage,
                                       ConstTraceLane readings) {
-  RLBLH_REQUIRE(usage.intervals() == intervals_ &&
-                    readings.intervals() == intervals_,
+  RLBLH_REQUIRE(usage.size() == intervals_ && readings.size() == intervals_,
                 "PairwiseMiEstimator: day length mismatch");
   for (std::size_t n = 0; n < intervals_; ++n) {
     RLBLH_REQUIRE(!std::isnan(usage[n]) && !std::isnan(readings[n]),

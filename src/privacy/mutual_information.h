@@ -44,8 +44,8 @@ class PairwiseMiEstimator {
                       double y_cap);
 
   /// Folds in one evaluation day of usage x and meter readings y (read-only
-  /// lane views; a DayTrace converts implicitly, a strided batch lane is
-  /// consumed without a copy). Throws ConfigError on a length mismatch or
+  /// day views; a DayTrace converts implicitly). Throws ConfigError on a
+  /// length mismatch or
   /// a NaN in either stream, leaving the estimator unchanged. Values
   /// outside the caps (±inf included) clamp to the end levels.
   void observe_day(ConstTraceLane usage, ConstTraceLane readings);

@@ -129,7 +129,7 @@ const DayResult& SimEngine::run_day(TraceSource& source,
       if (width == 1) {
         policy.observe_usage(n0, x[n0]);
       } else {
-        policy.observe_block(n0, ConstTraceLane(x + n0, 1, width));
+        policy.observe_block(n0, ConstTraceLane(x + n0, width));
       }
       ++blocks;
       n0 = block_end;

@@ -47,12 +47,6 @@ struct FleetOptions {
   /// aggregates are produced — the memory-lean mode for very large fleets
   /// (no O(N) result vector survives the run).
   bool keep_households = true;
-  /// Lockstep batch width W: within a chunk, households sharing a blueprint
-  /// are grouped into batches of exactly W and run through the SoA
-  /// BatchEngine; the remainder (and any width <= 1) takes the scalar
-  /// engine. Bitwise invisible — every width produces identical results;
-  /// each lane holds its own EvaluationAccumulator. Defaults to 0 (scalar).
-  std::size_t batch_width = 0;
 };
 
 /// Mean and percentiles of one metric over the fleet's households.

@@ -119,7 +119,7 @@ void StreamEngine::push(double usage) {
     }
     if (n + 1 == block_end_) {
       policy_->observe_block(
-          block_n0_, ConstTraceLane(x + block_n0_, 1, block_end_ - block_n0_));
+          block_n0_, ConstTraceLane(x + block_n0_, block_end_ - block_n0_));
       ++blocks_;
     }
   }

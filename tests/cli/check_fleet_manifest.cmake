@@ -27,7 +27,9 @@ string(JSON fleet ERROR_VARIABLE error GET "${json}" config fleet)
 if(error OR NOT fleet STREQUAL "4")
   message(FATAL_ERROR "manifest config.fleet is '${fleet}' (${error})")
 endif()
-string(JSON width ERROR_VARIABLE error GET "${json}" config batch_width)
-if(error)
-  message(FATAL_ERROR "manifest has no config.batch_width: ${error}")
+# --threads was not given, so the manifest must hold the resolved worker
+# count, never the unresolved 0.
+string(JSON threads ERROR_VARIABLE error GET "${json}" config threads)
+if(error OR NOT threads MATCHES "^[1-9][0-9]*$")
+  message(FATAL_ERROR "manifest config.threads is '${threads}' (${error})")
 endif()

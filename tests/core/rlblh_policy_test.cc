@@ -371,11 +371,10 @@ TEST(RlBlhPolicy, ObserveRejectsNonFiniteUsageWithoutSideEffects) {
         std::vector<double> poisoned(usage.begin() + 20, usage.begin() + 24);
         poisoned[2] = bad;
         EXPECT_THROW(block_policy.observe_block(
-                         n0, ConstTraceLane(poisoned.data(), 1, 4)),
+                         n0, ConstTraceLane(poisoned.data(), 4)),
                      ConfigError);
       }
-      block_policy.observe_block(
-          n0, ConstTraceLane(usage.data() + n0, 1, 4));
+      block_policy.observe_block(n0, ConstTraceLane(usage.data() + n0, 4));
     }
     block_policy.end_day();
     EXPECT_EQ(checkpoint(block_policy), checkpoint(twin));

@@ -35,7 +35,7 @@ TEST(PairwiseMi, RejectsMismatchedDays) {
   EXPECT_THROW(mi.observe_day(DayTrace(5), DayTrace(10)), ConfigError);
 }
 
-// A lane built from a span or a raw pointer is not validated, so a NaN can
+// A view built from a span or a raw pointer is not validated, so a NaN can
 // reach observe_day; it must be rejected before any of the day is recorded.
 TEST(PairwiseMi, RejectsNanWithoutRecordingTheDay) {
   Rng rng(31);
@@ -57,10 +57,10 @@ TEST(PairwiseMi, RejectsNanWithoutRecordingTheDay) {
   EXPECT_EQ(mi.days(), 5u);
   EXPECT_EQ(mi.normalized_mi(), before);
 
-  // Readings through a strided raw-pointer lane, NaN in the last slot.
-  std::vector<double> block(24, 0.5);
-  block[23] = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(mi.observe_day(ok, ConstTraceLane(block.data() + 1, 2, 12)),
+  // Readings through a contiguous raw-pointer view, NaN in the last slot.
+  std::vector<double> readings(12, 0.5);
+  readings[11] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(mi.observe_day(ok, ConstTraceLane(readings.data(), 12)),
                ConfigError);
   EXPECT_EQ(mi.days(), 5u);
   EXPECT_EQ(mi.normalized_mi(), before);

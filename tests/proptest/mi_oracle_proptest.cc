@@ -14,8 +14,7 @@
 // levels (the reference holds levels^4 counts per interval), 1-200 days
 // (so more days than levels^2 pair cells), bias correction on and off, and
 // day streams that are uniform, constant, identical (x == y), drawn from a
-// few discrete values, out of range or +-inf, read through contiguous or
-// strided lanes.
+// few discrete values, out of range or +-inf.
 //
 // Labeled `proptest` in CTest; filter with `ctest -LE proptest` to skip, or
 // scale the case count with RLBLH_PROPTEST_ITERS.
@@ -25,7 +24,6 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
-#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -48,7 +46,6 @@ struct MiCase {
   std::size_t days_before = 1;  ///< days observed before the reset
   std::size_t days_after = 1;   ///< days observed after it
   bool bias_correction = true;
-  bool strided = false;  ///< read days through lanes of a W = 3 SoA block
   double x_cap = 1.0;
   double y_cap = 1.0;
 };
@@ -57,7 +54,7 @@ std::string describe(const MiCase& c) {
   std::ostringstream out;
   out << "intervals=" << c.intervals << " levels=" << c.levels
       << " days=" << c.days_before << "+" << c.days_after
-      << " bias=" << c.bias_correction << " strided=" << c.strided
+      << " bias=" << c.bias_correction
       << " caps=" << c.x_cap << "," << c.y_cap;
   return out.str();
 }
@@ -76,7 +73,6 @@ Domain<MiCase> mi_case_domain() {
     c.days_before = static_cast<std::size_t>(rng.uniform_int(1, 200));
     c.days_after = static_cast<std::size_t>(rng.uniform_int(1, 200));
     c.bias_correction = rng.bernoulli(0.5);
-    c.strided = rng.bernoulli(0.5);
     c.x_cap = rng.uniform(0.5, 5.0);
     c.y_cap = rng.bernoulli(0.5) ? c.x_cap : rng.uniform(0.5, 5.0);
     return c;
@@ -98,10 +94,6 @@ Domain<MiCase> mi_case_domain() {
     if (c.levels > 2) {
       out.push_back(c);
       --out.back().levels;
-    }
-    if (c.strided) {
-      out.push_back(c);
-      out.back().strided = false;
     }
     return out;
   };
@@ -136,8 +128,6 @@ double stream_value(int kind, double cap, double x, Rng& rng) {
 /// usage and reading shapes independently; readings may also copy usage.
 void observe_days(PairwiseMiEstimator& mi, reference::DenseMiReference& ref,
                   const MiCase& c, std::size_t days, Rng& rng) {
-  constexpr std::size_t kWidth = 3;
-  std::vector<double> block(c.intervals * kWidth);
   for (std::size_t d = 0; d < days; ++d) {
     const int x_kind = rng.uniform_int(0, 4);
     const int y_kind = rng.uniform_int(0, 5);  // 5: identical to usage
@@ -149,24 +139,8 @@ void observe_days(PairwiseMiEstimator& mi, reference::DenseMiReference& ref,
       x[n] = stream_value(x_kind, c.x_cap, x_const, rng);
       y[n] = y_kind == 5 ? x[n] : stream_value(y_kind, c.y_cap, y_const, rng);
     }
-    if (c.strided) {
-      // Usage in lane 1, readings in lane 2 of an interval-major block.
-      for (std::size_t n = 0; n < c.intervals; ++n) {
-        block[n * kWidth + 0] = -1.0;
-        block[n * kWidth + 1] = x[n];
-        block[n * kWidth + 2] = y[n];
-      }
-      const ConstTraceLane usage(block.data() + 1, kWidth, c.intervals);
-      const ConstTraceLane readings(block.data() + 2, kWidth, c.intervals);
-      mi.observe_day(usage, readings);
-      ref.observe_day(usage, readings);
-    } else {
-      const ConstTraceLane usage(std::span<const double>(x.data(), x.size()));
-      const ConstTraceLane readings(
-          std::span<const double>(y.data(), y.size()));
-      mi.observe_day(usage, readings);
-      ref.observe_day(usage, readings);
-    }
+    mi.observe_day(x, y);
+    ref.observe_day(x, y);
   }
 }
 

@@ -135,25 +135,6 @@ TEST(RngCanonical, FillUniformMatchesStd) {
   }
 }
 
-TEST(RngCanonical, FillUniformStridedMatchesStd) {
-  Rng rng(51);
-  std::mt19937_64 engine(51);
-  constexpr std::size_t kStride = 3;
-  constexpr std::size_t kCount = 1000;
-  std::vector<double> out(kStride * kCount, -1.0);
-  for (int block = 0; block < kDraws / static_cast<int>(kCount); ++block) {
-    const double lo = -0.02 * block;
-    const double hi = 0.75;
-    rng.fill_uniform_strided(lo, hi, out.data(), kStride, kCount);
-    std::uniform_real_distribution<double> dist(lo, hi);
-    for (std::size_t i = 0; i < kCount; ++i) {
-      ASSERT_EQ(bits(out[i * kStride]), bits(dist(engine)))
-          << "block " << block << " element " << i;
-      ASSERT_EQ(out[i * kStride + 1], -1.0) << "wrote between strides";
-    }
-  }
-}
-
 TEST(RngCanonical, BernoulliMatchesStdAtFixedAndRandomP) {
   std::mt19937_64 probabilities(61);
   std::uniform_real_distribution<double> any_p(0.0, 1.0);
